@@ -223,7 +223,7 @@ void WriteJson(const std::vector<RunResult>& rows) {
     const RunResult& r = rows[i];
     std::fprintf(
         f,
-        "    {\"theta\": %.1f, \"l2\": %s, \"queries\": %zu, "
+        "    {\"theta\": %.2f, \"l2\": %s, \"queries\": %zu, "
         "\"kv_round_trips\": %lld, \"rt_per_query\": %.4f, "
         "\"l2_hits\": %lld, \"l2_admitted\": %lld, \"demoted\": %lld, "
         "\"l1_hit_ratio\": %.3f, \"mean_ms\": %.3f, \"p99_ms\": %.3f}%s\n",

@@ -39,7 +39,7 @@ run_suite() {
     echo "=== tier1: perf smoke (bench_micro --smoke) ==="
     "${build_dir}/bench/bench_micro" --smoke
     # Read-path coalescing gate: the LoadBroker must keep cutting KV round
-    # trips >= 3x at Zipf s=1.0 vs the broker-off ablation, with live
+    # trips >= 3x at Zipf s=0.99 vs the broker-off ablation, with live
     # single-flight hits. ctest runs it too; this keeps the gate in the log.
     echo "=== tier1: perf smoke (bench_hotkey_skew --smoke) ==="
     "${build_dir}/bench/bench_hotkey_skew" --smoke
@@ -65,11 +65,14 @@ run_suite() {
   fi
   if [[ "${sanitize}" == "thread" ]]; then
     # The drain-concurrency storm (concurrent MaybeTrigger + Drain +
-    # SetEnabled flips over the sharded pool) is the test TSan exists for;
-    # ctest runs it with the rest of the suite, but an explicit pass keeps
-    # the race gate visible in the tier-1 log.
-    echo "=== tier1: TSan drain storm (CompactionManagerTest) ==="
-    (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
+    # SetEnabled flips over the sharded pool) and the coalescer's leader/
+    # follower hand-offs (randomized coalescer history, both brokers, the
+    # cache's unlocked write-backs) are the tests TSan exists for; ctest runs
+    # them with the rest of the suite, but an explicit pass keeps the race
+    # gates visible in the tier-1 log.
+    echo "=== tier1: TSan drain storm + coalescer races ==="
+    (cd "${build_dir}" && ctest --output-on-failure \
+      -R '^(compaction_test|coalescer_test|load_broker_test|store_broker_test|gcache_test)$')
   fi
 }
 

@@ -1,11 +1,7 @@
 #include "cache/gcache.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 
-#include "cache/load_broker.h"
-#include "cache/store_broker.h"
 #include "cache/victim_cache.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -23,21 +19,24 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
-size_t GCache::FlushGroupLockCap() {
-  // Flush groups snapshot entries one lock at a time and run the storage
-  // round trip with no entry lock held, so no cap applies — including under
-  // ThreadSanitizer, whose 64-held-locks hard limit motivated the old clamp
-  // back when a group pinned every entry lock across the round trip.
-  return std::numeric_limits<size_t>::max();
-}
-
-GCache::GCache(GCacheOptions options, Clock* clock, FlushFn flush, LoadFn load,
-               MetricsRegistry* metrics)
+GCache::GCache(GCacheOptions options, Clock* clock, BatchStoreFn store,
+               BatchLoadFn load, MetricsRegistry* metrics)
     : options_(options),
       clock_(clock),
-      flush_(std::move(flush)),
-      load_(std::move(load)),
-      metrics_(metrics) {
+      store_(std::move(store)),
+      load_(std::move(load)) {
+  if (metrics != nullptr) {
+    hit_ = metrics->GetCounter("cache.hit");
+    miss_ = metrics->GetCounter("cache.miss");
+    batch_loads_ = metrics->GetCounter("cache.batch_loads");
+    batch_flushes_ = metrics->GetCounter("cache.batch_flushes");
+    flushed_ = metrics->GetCounter("cache.flushed");
+    flush_failures_ = metrics->GetCounter("cache.flush_failures");
+    evicted_ = metrics->GetCounter("cache.evicted");
+    demoted_ = metrics->GetCounter("cache.demoted");
+    l2_decode_failures_ = metrics->GetCounter("cache_l2.decode_failures");
+    overlap_stalls_ = metrics->GetCounter("compaction.overlap_stalls");
+  }
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
   options_.dirty_shards = RoundUpPow2(options_.dirty_shards);
   if (options_.flush_threads < options_.dirty_shards) {
@@ -101,61 +100,30 @@ Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
     if (it != shard.map.end()) {
       TouchLru(shard, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->GetCounter("cache.hit")->Increment();
+      if (hit_ != nullptr) hit_->Increment();
       return std::make_pair(it->second.entry, true);
     }
   }
 
-  // Miss: consult persistent storage outside the shard lock — loads can take
-  // milliseconds and must not block unrelated traffic on this shard.
+  // Miss: consult the victim tier and persistent storage outside the shard
+  // lock — loads can take milliseconds and must not block unrelated traffic
+  // on this shard.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->GetCounter("cache.miss")->Increment();
+  if (miss_ != nullptr) miss_->Increment();
 
-  // The victim tier intercepts the miss before any storage round trip: a
-  // demoted profile promotes back for the price of a decode.
-  if (victim_cache_ != nullptr) {
-    ScopedSpan l2_span("cache.l2_lookup");
-    ProfileData promoted(options_.write_granularity_ms);
-    bool promoted_degraded = false;
-    if (TryPromoteFromL2(pid, &promoted, &promoted_degraded)) {
-      return std::make_pair(
-          InsertLoaded(pid, std::move(promoted), promoted_degraded), false);
-    }
+  std::vector<bool> degraded;
+  std::vector<Result<ProfileData>> loaded =
+      LoadMisses({pid}, &degraded, std::numeric_limits<TimestampMs>::max());
+  if (loaded[0].ok()) {
+    return std::make_pair(
+        InsertLoaded(pid, std::move(loaded[0]).value(), degraded[0]), false);
   }
-
-  ProfileData loaded(options_.write_granularity_ms);
-  bool degraded = false;
-  {
-    // Through the broker when installed (sharing the load with every other
-    // concurrent miss for this pid), else the per-pid loader.
-    Result<ProfileData> result = [&]() -> Result<ProfileData> {
-      if (load_broker_ == nullptr) return load_(pid, &degraded);
-      std::vector<ProfileId> one{pid};
-      std::vector<bool> one_degraded;
-      std::vector<Result<ProfileData>> results =
-          load_broker_->Load(one, &one_degraded);
-      if (results.empty()) {
-        return Status::Internal("load broker returned a short result list");
-      }
-      degraded = !one_degraded.empty() && one_degraded[0];
-      return std::move(results[0]);
-    }();
-    if (result.ok()) {
-      // A degraded load means the loader fell back: the primary store is
-      // still unhealthy even though the load itself succeeded.
-      NoteStoreHealth(degraded ? Status::Unavailable("fallback load")
-                               : Status::OK());
-      loaded = std::move(result).value();
-    } else if (result.status().IsNotFound()) {
-      if (!create_if_missing) return result.status();
-    } else {
-      NoteStoreHealth(result.status());
-      return result.status();  // storage unavailable etc.
-    }
+  if (!create_if_missing || !loaded[0].status().IsNotFound()) {
+    return loaded[0].status();  // unknown profile, storage unavailable etc.
   }
-
-  return std::make_pair(InsertLoaded(pid, std::move(loaded), degraded),
-                        false);
+  return std::make_pair(
+      InsertLoaded(pid, ProfileData(options_.write_granularity_ms), false),
+      false);
 }
 
 GCache::EntryPtr GCache::InsertLoaded(ProfileId pid, ProfileData loaded,
@@ -193,9 +161,7 @@ bool GCache::TryPromoteFromL2(ProfileId pid, ProfileData* out,
   if (!decoded.ok()) {
     // Corrupt demoted bytes: Take already removed them, so the tier cannot
     // serve them again; the miss falls through to the authoritative store.
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("cache_l2.decode_failures")->Increment();
-    }
+    if (l2_decode_failures_ != nullptr) l2_decode_failures_->Increment();
     return false;
   }
   *out_degraded = degraded;
@@ -246,26 +212,10 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
   }
   const std::vector<ProfileId>& load_pids = tiered ? remaining : pids;
 
-  // Dispatch what the tier could not serve: the broker when installed
-  // (single-flight + cross-request window batching, with the caller's
-  // deadline bounding the shared wait), else the batch loader, else per-pid
-  // loads.
-  std::vector<bool> loaded_degraded;
-  std::vector<Result<ProfileData>> loaded;
-  if (load_broker_ != nullptr) {
-    loaded = load_broker_->Load(load_pids, &loaded_degraded, deadline_ms);
-  } else if (batch_load_) {
-    loaded_degraded.assign(load_pids.size(), false);
-    loaded = batch_load_(load_pids, &loaded_degraded);
-  } else {
-    loaded_degraded.assign(load_pids.size(), false);
-    loaded.reserve(load_pids.size());
-    for (size_t m = 0; m < load_pids.size(); ++m) {
-      bool degraded = false;
-      loaded.push_back(load_(load_pids[m], &degraded));
-      loaded_degraded[m] = degraded;
-    }
-  }
+  // Dispatch what the tier could not serve.
+  std::vector<bool> loaded_degraded(load_pids.size(), false);
+  std::vector<Result<ProfileData>> loaded =
+      load_(load_pids, &loaded_degraded, deadline_ms);
   if (loaded.size() != load_pids.size()) {
     loaded.assign(load_pids.size(),
                   Result<ProfileData>(Status::Internal(
@@ -352,23 +302,19 @@ size_t GCache::WithProfiles(
     hits_.fetch_add(static_cast<int64_t>(hits), std::memory_order_relaxed);
     misses_.fetch_add(static_cast<int64_t>(miss_pids.size()),
                       std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      if (hits > 0) {
-        metrics_->GetCounter("cache.hit")->Increment(
-            static_cast<int64_t>(hits));
-      }
-      if (!miss_pids.empty()) {
-        metrics_->GetCounter("cache.miss")->Increment(
-            static_cast<int64_t>(miss_pids.size()));
-        metrics_->GetCounter("cache.batch_loads")->Increment();
-      }
+    if (hits > 0 && hit_ != nullptr) {
+      hit_->Increment(static_cast<int64_t>(hits));
+    }
+    if (!miss_pids.empty() && miss_ != nullptr) {
+      miss_->Increment(static_cast<int64_t>(miss_pids.size()));
+      batch_loads_->Increment();
     }
   }
 
   // Phase 2: one LoadMisses call covers every miss, outside all shard locks.
-  // With a broker installed this submits the miss set to the shared
-  // coalescing stage — concurrent requests' misses merge into one storage
-  // round trip and hot pids already on the wire are joined, not refetched.
+  // With a broker behind the loader, concurrent requests' misses merge into
+  // one storage round trip and hot pids already on the wire are joined, not
+  // refetched.
   if (!miss_pids.empty()) {
     std::vector<bool> loaded_degraded;
     std::vector<Result<ProfileData>> loaded =
@@ -469,12 +415,6 @@ void GCache::MarkDirty(Entry& entry) {
     dshard.dirty.push_back(entry.pid);
     entry.in_dirty_list = true;
   }
-}
-
-bool GCache::EntryDegraded(const EntryPtr& entry) const {
-  if (StoreUnhealthy()) return true;
-  std::lock_guard<std::mutex> lock(entry->mu);
-  return entry->degraded;
 }
 
 void GCache::NoteStoreHealth(const Status& status, StoreHealthSource source) {
@@ -586,9 +526,7 @@ Status GCache::WithProfileOffLockMutate(
         // A write (or an eviction) landed during the unlocked pass.
         // Committing the stale snapshot would silently drop that write, so
         // throw this pass away and redo it from the current state.
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("compaction.overlap_stalls")->Increment();
-        }
+        if (overlap_stalls_ != nullptr) overlap_stalls_->Increment();
         continue;
       }
       entry->profile = std::move(snapshot);
@@ -601,28 +539,22 @@ Status GCache::WithProfileOffLockMutate(
 }
 
 size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
-  // The eviction mirror of FlushShard's snapshot-then-store-unlocked design.
-  // The old shape held shard.mu across FlushEntryLocked — every KV
-  // millisecond of a dirty victim's write-back blocked ALL traffic on the
-  // shard, and the store landed without any epoch protection against a
-  // concurrent writer. Four phases now:
+  // The eviction mirror of FlushShard's snapshot-then-store-unlocked design:
+  // no KV millisecond of a dirty victim's write-back is spent holding
+  // shard.mu, and the store is epoch-protected against concurrent writers.
+  // Four phases:
   //   1. collect victims under shard.mu (try_lock probing, Fig 8),
   //      snapshotting profile + epoch one entry lock at a time;
-  //   2. write dirty victims back with NO lock held — through the store
-  //      broker when installed (an eviction storm coalesces with a flush
-  //      storm), else the batch flusher, else per-pid flushes;
+  //   2. write dirty victims back through the store with NO lock held (a
+  //      coalescing store merges an eviction storm with a flush storm);
   //   3. encode surviving victims for L2 demotion, still unlocked;
   //   4. commit per victim under shard.mu + entry try_lock with the flush
   //      path's mutation-epoch recheck — an entry re-dirtied during the
   //      round trip stays resident with its newer state. The demotion Put
   //      happens under shard.mu BEFORE the map erase, so no concurrent
   //      reload can slip a fresh entry in while stale bytes land in L2.
-  struct Victim {
-    EntryPtr entry;
-    ProfileData snapshot;
-    uint64_t epoch = 0;
+  struct Victim : Snapshot {
     bool dirty = false;
-    bool degraded = false;
   };
   std::vector<Victim> victims;
   {
@@ -647,11 +579,10 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
       Victim v;
       v.epoch = entry->mutation_epoch;
       v.dirty = entry->dirty;
-      v.degraded = entry->degraded;
       // Clean victims only need the snapshot when a tier exists to demote
       // them into; dirty ones always need it for the write-back.
       if (entry->dirty || victim_cache_ != nullptr) {
-        v.snapshot = entry->profile;
+        v.profile = entry->profile;
       }
       planned += entry->bytes;
       v.entry = std::move(entry);
@@ -664,66 +595,17 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
   // eviction success must not clear an outage flag batch traffic still sees.
   std::vector<Status> statuses(victims.size(), Status::OK());
   std::vector<size_t> dirty_ix;
+  std::vector<const Snapshot*> dirty;
   for (size_t i = 0; i < victims.size(); ++i) {
-    if (victims[i].dirty) dirty_ix.push_back(i);
+    if (!victims[i].dirty) continue;
+    dirty_ix.push_back(i);
+    dirty.push_back(&victims[i]);
   }
-  if (!dirty_ix.empty()) {
-    if (store_broker_ != nullptr || batch_flush_) {
-      std::vector<ProfileId> pids;
-      std::vector<const ProfileData*> profiles;
-      pids.reserve(dirty_ix.size());
-      profiles.reserve(dirty_ix.size());
-      for (size_t ix : dirty_ix) {
-        pids.push_back(victims[ix].entry->pid);
-        profiles.push_back(&victims[ix].snapshot);
-      }
-      std::vector<Status> flushed;
-      if (store_broker_ != nullptr) {
-        // Snapshot epochs ride along, as in FlushShard: the broker dedups an
-        // eviction write-back against an identical in-flight flush of the
-        // same pid and orders it behind an older one.
-        std::vector<uint64_t> epochs;
-        epochs.reserve(dirty_ix.size());
-        for (size_t ix : dirty_ix) epochs.push_back(victims[ix].epoch);
-        flushed = store_broker_->Store(pids, profiles, epochs);
-      } else {
-        flushed = batch_flush_(pids, profiles);
-      }
-      if (flushed.size() != pids.size()) {
-        flushed.assign(pids.size(),
-                       Status::Internal("batch flusher returned a short "
-                                        "result list"));
-      }
-      for (size_t k = 0; k < dirty_ix.size(); ++k) {
-        statuses[dirty_ix[k]] = flushed[k];
-      }
-    } else {
-      for (size_t ix : dirty_ix) {
-        statuses[ix] =
-            flush_(victims[ix].entry->pid, victims[ix].snapshot);
-      }
-    }
-    bool any_unavailable = false;
-    size_t flush_ok = 0;
-    for (size_t ix : dirty_ix) {
-      if (statuses[ix].ok()) {
-        ++flush_ok;
-      } else if (statuses[ix].IsUnavailable()) {
-        any_unavailable = true;
-      }
-    }
-    NoteStoreHealth(any_unavailable ? Status::Unavailable("eviction flush")
-                                    : Status::OK(),
-                    StoreHealthSource::kPoint);
-    if (metrics_ != nullptr) {
-      if (flush_ok > 0) {
-        metrics_->GetCounter("cache.flushed")
-            ->Increment(static_cast<int64_t>(flush_ok));
-      }
-      if (flush_ok < dirty_ix.size()) {
-        metrics_->GetCounter("cache.flush_failures")
-            ->Increment(static_cast<int64_t>(dirty_ix.size() - flush_ok));
-      }
+  if (!dirty.empty()) {
+    std::vector<Status> stored =
+        StoreSnapshots(dirty, StoreHealthSource::kPoint);
+    for (size_t k = 0; k < dirty_ix.size(); ++k) {
+      statuses[dirty_ix[k]] = std::move(stored[k]);
     }
   }
 
@@ -736,7 +618,7 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
     for (size_t i = 0; i < victims.size(); ++i) {
       if (!statuses[i].ok()) continue;  // stays resident; nothing to demote
       if (!victim_cache_->WouldAdmit(victims[i].entry->pid)) continue;
-      victim_encode_(victims[i].snapshot, &encoded[i]);
+      victim_encode_(victims[i].profile, &encoded[i]);
       demote[i] = true;
     }
   }
@@ -776,14 +658,11 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
     memory_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     ++evicted;
   }
-  if (metrics_ != nullptr) {
-    if (evicted > 0) {
-      metrics_->GetCounter("cache.evicted")->Increment(evicted);
-    }
-    if (demoted > 0) {
-      metrics_->GetCounter("cache.demoted")
-          ->Increment(static_cast<int64_t>(demoted));
-    }
+  if (evicted > 0 && evicted_ != nullptr) {
+    evicted_->Increment(static_cast<int64_t>(evicted));
+  }
+  if (demoted > 0 && demoted_ != nullptr) {
+    demoted_->Increment(static_cast<int64_t>(demoted));
   }
   return evicted;
 }
@@ -818,21 +697,43 @@ size_t GCache::SwapOnce() {
   return evicted;
 }
 
-Status GCache::FlushEntryLocked(Entry& entry) {
-  Status status = flush_(entry.pid, entry.profile);
-  NoteStoreHealth(status, StoreHealthSource::kPoint);
-  if (status.ok()) {
-    entry.dirty = false;
-    // The entry's state reached the primary store: whatever stale base it
-    // was loaded from, the persisted copy is now the authoritative merge.
-    entry.degraded = false;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("cache.flushed")->Increment();
-    }
-  } else if (metrics_ != nullptr) {
-    metrics_->GetCounter("cache.flush_failures")->Increment();
+std::vector<Status> GCache::StoreSnapshots(
+    const std::vector<const Snapshot*>& snapshots, StoreHealthSource source) {
+  std::vector<ProfileId> pids;
+  std::vector<const ProfileData*> profiles;
+  std::vector<uint64_t> epochs;
+  pids.reserve(snapshots.size());
+  profiles.reserve(snapshots.size());
+  epochs.reserve(snapshots.size());
+  for (const Snapshot* snap : snapshots) {
+    pids.push_back(snap->entry->pid);
+    profiles.push_back(&snap->profile);
+    epochs.push_back(snap->epoch);
   }
-  return status;
+  std::vector<Status> statuses = store_(pids, profiles, epochs);
+  if (statuses.size() != pids.size()) {
+    statuses.assign(pids.size(),
+                    Status::Internal("store returned a short result list"));
+  }
+  size_t ok = 0;
+  bool any_unavailable = false;
+  for (const Status& status : statuses) {
+    if (status.ok()) {
+      ++ok;
+    } else if (status.IsUnavailable()) {
+      any_unavailable = true;
+    }
+  }
+  NoteStoreHealth(any_unavailable ? Status::Unavailable("store write-back")
+                                  : Status::OK(),
+                  source);
+  if (ok > 0 && flushed_ != nullptr) {
+    flushed_->Increment(static_cast<int64_t>(ok));
+  }
+  if (ok < statuses.size() && flush_failures_ != nullptr) {
+    flush_failures_->Increment(static_cast<int64_t>(statuses.size() - ok));
+  }
+  return statuses;
 }
 
 size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
@@ -842,6 +743,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
     std::lock_guard<std::mutex> lock(dshard.mu);
     batch.swap(dshard.dirty);
   }
+  const size_t group_max = std::max<size_t>(1, options_.flush_batch_max);
   size_t flushed = 0;
   size_t failures = 0;
   std::list<ProfileId> requeue;
@@ -859,18 +761,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
     // copied under its own lock — entries locked strictly one at a time —
     // together with its mutation epoch, then the lock drops. The storage
     // round trip below runs with NO entry lock held, so a multi-millisecond
-    // store never blocks readers or writers of the entries being flushed
-    // (the old design pinned every entry lock in the group across the round
-    // trip: a latency cliff and a lock-ordering hazard).
-    const size_t group_max =
-        (batch_flush_ || store_broker_ != nullptr)
-            ? std::max<size_t>(1, options_.flush_batch_max)
-            : 1;
-    struct Snapshot {
-      EntryPtr entry;
-      ProfileData profile;
-      uint64_t epoch = 0;
-    };
+    // store never blocks readers or writers of the entries being flushed.
     std::vector<Snapshot> group;
     while (it != batch.end() && group.size() < group_max) {
       const ProfileId pid = *it;
@@ -895,50 +786,18 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
     }
     if (group.empty()) continue;
 
-    // One storage round trip per group, outside every entry lock: the store
-    // broker (which may merge this group with other shards' concurrent
-    // groups into one MultiSet, and share in-flight store-backs of hot
-    // pids) when installed, else the batch flusher (one MultiSet below),
-    // else the per-entry flusher on the group of one.
-    std::vector<Status> statuses;
-    if (store_broker_ != nullptr || batch_flush_) {
-      std::vector<ProfileId> pids;
-      std::vector<const ProfileData*> profiles;
-      pids.reserve(group.size());
-      profiles.reserve(group.size());
-      for (const Snapshot& snap : group) {
-        pids.push_back(snap.entry->pid);
-        profiles.push_back(&snap.profile);
-      }
-      if (store_broker_ != nullptr) {
-        // The snapshot epochs ride along so the broker can tell an
-        // identical re-flush (piggyback on the in-flight write) from a
-        // newer one (requeue behind it). The commit below still rechecks
-        // each entry's live epoch — the broker never changes that contract.
-        std::vector<uint64_t> epochs;
-        epochs.reserve(group.size());
-        for (const Snapshot& snap : group) epochs.push_back(snap.epoch);
-        statuses = store_broker_->Store(pids, profiles, epochs);
-      } else {
-        statuses = batch_flush_(pids, profiles);
-      }
-      if (statuses.size() != pids.size()) {
-        statuses.assign(pids.size(),
-                        Status::Internal("batch flusher returned a short "
-                                         "result list"));
-      }
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("cache.batch_flushes")->Increment();
-      }
-    } else {
-      statuses.push_back(flush_(group[0].entry->pid, group[0].profile));
-    }
+    // One storage round trip per group, outside every entry lock.
+    std::vector<const Snapshot*> refs;
+    refs.reserve(group.size());
+    for (const Snapshot& snap : group) refs.push_back(&snap);
+    const std::vector<Status> statuses =
+        StoreSnapshots(refs, StoreHealthSource::kBatch);
+    if (batch_flushes_ != nullptr) batch_flushes_->Increment();
 
     // Commit: relock each entry and recheck its epoch. A write that landed
     // during the unlocked round trip means the store holds the snapshot but
     // the entry carries newer state — keep it dirty and requeue. The
     // snapshot itself persisted, so it still counts as progress.
-    bool any_unavailable = false;
     for (size_t g = 0; g < group.size(); ++g) {
       Entry& entry = *group[g].entry;
       std::lock_guard<std::mutex> entry_lock(entry.mu);
@@ -950,33 +809,17 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
         entry.degraded = false;
         if (entry.mutation_epoch == group[g].epoch) {
           entry.dirty = false;
-        } else {
-          std::lock_guard<std::mutex> dlock(dshard.mu);
-          if (!entry.in_dirty_list) {
-            requeue.push_back(entry.pid);
-            entry.in_dirty_list = true;
-          }
-        }
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("cache.flushed")->Increment();
+          continue;
         }
       } else {
-        if (statuses[g].IsUnavailable()) any_unavailable = true;
         ++failures;
-        {
-          std::lock_guard<std::mutex> dlock(dshard.mu);
-          if (!entry.in_dirty_list) {
-            requeue.push_back(entry.pid);
-            entry.in_dirty_list = true;
-          }
-        }
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("cache.flush_failures")->Increment();
-        }
+      }
+      std::lock_guard<std::mutex> dlock(dshard.mu);
+      if (!entry.in_dirty_list) {
+        requeue.push_back(entry.pid);
+        entry.in_dirty_list = true;
       }
     }
-    NoteStoreHealth(any_unavailable ? Status::Unavailable("batch flush")
-                                    : Status::OK());
   }
   if (!requeue.empty()) {
     std::lock_guard<std::mutex> lock(dshard.mu);
@@ -1032,11 +875,11 @@ Status GCache::Invalidate(ProfileId pid) {
   // The profile must leave EVERY tier: stale demoted bytes left in L2 would
   // serve a later miss after the handover.
   if (victim_cache_ != nullptr) victim_cache_->Erase(pid);
-  // Retry loop: the old shape flushed under the entry lock, dropped it, then
-  // erased under the shard lock — a write landing in that window re-dirtied
-  // the entry and the erase silently discarded it. Now the erase only
-  // happens after re-acquiring both locks and re-checking `dirty`; a write
-  // that slipped in sends us back around to flush again.
+  // Same snapshot → unlocked store → epoch-checked commit discipline as
+  // FlushShard and EvictFromShard. The erase only happens after
+  // re-acquiring both locks and re-checking `dirty`: a write that slipped in
+  // during the store (or between commit and erase) sends us back around to
+  // store again instead of being discarded with the entry.
   for (int attempt = 0; attempt < 16; ++attempt) {
     EntryPtr entry;
     {
@@ -1045,10 +888,20 @@ Status GCache::Invalidate(ProfileId pid) {
       if (it == shard.map.end()) return Status::OK();
       entry = it->second.entry;
     }
+    Snapshot snap;
     {
       std::lock_guard<std::mutex> entry_lock(entry->mu);
       if (entry->evicted) continue;  // raced an eviction; re-probe the map
-      if (entry->dirty) IPS_RETURN_IF_ERROR(FlushEntryLocked(*entry));
+      if (entry->dirty) {
+        snap = Snapshot{entry, entry->profile, entry->mutation_epoch};
+      }
+    }
+    if (snap.entry) {
+      Status status = StoreSnapshots({&snap}, StoreHealthSource::kPoint)[0];
+      if (!status.ok()) return status;
+      std::lock_guard<std::mutex> entry_lock(entry->mu);
+      entry->degraded = false;
+      if (entry->mutation_epoch == snap.epoch) entry->dirty = false;
     }
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(pid);
@@ -1059,7 +912,7 @@ Status GCache::Invalidate(ProfileId pid) {
     // Contended: a writer may hold the lock right now — re-run the flush
     // check rather than erasing state we have not re-examined.
     if (!entry_lock.owns_lock()) continue;
-    if (entry->dirty) continue;  // re-dirtied in the window: flush again
+    if (entry->dirty) continue;  // re-dirtied in the window: store again
     entry->evicted = true;
     shard.lru.erase(it->second.lru_it);
     shard.map.erase(it);

@@ -10,9 +10,10 @@
 //     to the key-value store; the flush-thread count is a multiple of the
 //     dirty-shard count so every shard has dedicated threads.
 //
-// Persistence and load are injected as callbacks so this layer stays
-// independent of the codec/kvstore choices (bulk vs slice-split modes both
-// plug in here).
+// Persistence and load are injected as ONE batch load callable and ONE
+// batch store callable, so this layer stays independent of the codec/kvstore
+// choices (bulk vs slice-split modes both plug in here) and of whether a
+// coalescing broker sits in front of the persister.
 #ifndef IPS_CACHE_GCACHE_H_
 #define IPS_CACHE_GCACHE_H_
 
@@ -64,9 +65,8 @@ struct GCacheOptions {
   /// the first clean pass.
   int64_t flush_backoff_ms = 50;
   int64_t flush_backoff_max_ms = 2000;
-  /// Largest group of dirty entries a flush pass hands to the batch flusher
-  /// in one call (one storage round trip per group). Only used when a batch
-  /// flusher is installed.
+  /// Largest group of dirty entries a flush pass hands to the store in one
+  /// call (one storage round trip per group).
   size_t flush_batch_max = 64;
   /// When false no background threads start; tests drive SwapOnce/FlushOnce
   /// manually for determinism.
@@ -75,33 +75,30 @@ struct GCacheOptions {
   int64_t write_granularity_ms = 60'000;
 };
 
-class LoadBroker;
-class StoreBroker;
 class VictimCache;
 
-/// Persists one profile. Invalidate calls it with the entry lock held (the
-/// entry is about to leave the cache); flush passes AND eviction write-backs
-/// call it on unlocked snapshots, see BatchFlushFn.
-using FlushFn = std::function<Status(ProfileId, const ProfileData&)>;
-/// Loads one profile on cache miss. NotFound means "no such profile yet".
-/// `out_degraded` (never null) is set when the profile came from a fallback
-/// replica and may be stale; the cache carries the flag through to readers.
-using LoadFn = std::function<Result<ProfileData>(ProfileId, bool* out_degraded)>;
-/// Loads many profiles in one storage round trip (the batch-miss-coalescing
-/// step of the MultiQuery read path). Results align with the pid list;
-/// NotFound marks profiles that were never persisted. `out_degraded` (never
-/// null) aligns with the pid list, same contract as LoadFn.
-using BatchLoadFn =
-    std::function<std::vector<Result<ProfileData>>(
-        const std::vector<ProfileId>&, std::vector<bool>* out_degraded)>;
-/// Persists many profiles in one storage round trip (the write-side mirror
-/// of BatchLoadFn); invoked on snapshots with NO entry lock held, so the
-/// storage round trip never blocks readers or writers of the entries being
-/// flushed (a concurrent write during the flush is caught by an epoch
-/// recheck and simply requeues the entry). Returned statuses align with the
+/// Loads many profiles in one storage round trip: the single funnel for
+/// every cache miss. Results align with the pid list; NotFound marks
+/// profiles that were never persisted. `out_degraded` (never null) aligns
+/// with the pid list and flags profiles served from a fallback replica
+/// (possibly stale); the cache carries the flag through to readers.
+/// `deadline_ms` (absolute, in the cache clock's domain) bounds waits on
+/// loads shared with other requests; pids unresolved at the deadline come
+/// back DeadlineExceeded. A loader that cannot abandon its work ignores it.
+using BatchLoadFn = std::function<std::vector<Result<ProfileData>>(
+    const std::vector<ProfileId>&, std::vector<bool>* out_degraded,
+    TimestampMs deadline_ms)>;
+/// Persists many profiles in one storage round trip: the single funnel for
+/// flush, eviction and Invalidate write-backs. Invoked on snapshots with NO
+/// entry lock held, so the round trip never blocks readers or writers of
+/// the entries being stored (a concurrent write is caught by an epoch
+/// recheck afterwards). `epochs[i]` is the mutation epoch `profiles[i]` was
+/// snapshotted at, so a coalescing store can tell an identical re-flush from
+/// a newer one; a plain store ignores it. Returned statuses align with the
 /// pid list — a batch can partially land.
-using BatchFlushFn = std::function<std::vector<Status>(
-    const std::vector<ProfileId>&, const std::vector<const ProfileData*>&)>;
+using BatchStoreFn = std::function<std::vector<Status>(
+    const std::vector<ProfileId>&, const std::vector<const ProfileData*>&,
+    const std::vector<uint64_t>& epochs)>;
 /// Encodes a profile into the victim tier's byte format (the persister's
 /// compressed block format). Called on eviction snapshots with no lock held.
 using VictimEncodeFn = std::function<void(const ProfileData&, std::string*)>;
@@ -112,16 +109,17 @@ using VictimDecodeFn = std::function<Status(std::string_view, ProfileData*)>;
 
 class GCache {
  public:
-  GCache(GCacheOptions options, Clock* clock, FlushFn flush, LoadFn load,
-         MetricsRegistry* metrics = nullptr);
+  GCache(GCacheOptions options, Clock* clock, BatchStoreFn store,
+         BatchLoadFn load, MetricsRegistry* metrics = nullptr);
   ~GCache();
 
   GCache(const GCache&) = delete;
   GCache& operator=(const GCache&) = delete;
 
   /// Read path: runs `fn` with shared (entry-locked) access to the profile.
-  /// On miss the loader is consulted; NotFound from the loader is returned
-  /// to the caller (queries on unknown profiles are empty, handled above).
+  /// On miss the loader is consulted (as a batch of one); NotFound from the
+  /// loader is returned to the caller (queries on unknown profiles are
+  /// empty, handled above).
   /// `out_was_hit`, when non-null, reports whether this was a cache hit —
   /// the Table II latency split keys on it. `out_degraded`, when non-null,
   /// reports whether the served profile may be stale: it was loaded from a
@@ -133,9 +131,8 @@ class GCache {
                      bool* out_degraded = nullptr);
 
   /// Batch read path (the spine of MultiQuery): partitions `pids` into
-  /// cache hits and misses, satisfies ALL misses with one batch-loader call
-  /// (falling back to per-pid loads when no batch loader is installed),
-  /// then runs `fn(index, profile)` under the entry lock for every present
+  /// cache hits and misses, satisfies ALL misses with one loader call, then
+  /// runs `fn(index, profile)` under the entry lock for every present
   /// profile. `statuses` aligns with `pids`; unknown profiles get NotFound
   /// and no callback. Duplicate pids are coalesced for loading but each
   /// occurrence gets its own callback and status; occurrences of the same
@@ -143,56 +140,14 @@ class GCache {
   /// grouped by entry, not issued in strict input order). Returns the
   /// number of cache hits.
   /// `out_degraded`, when non-null, is filled aligned with `pids`; same
-  /// staleness contract as WithProfile. `deadline_ms` (absolute, in the
-  /// cache clock's domain) bounds how long misses may wait on loads shared
-  /// through the broker; pids unresolved at the deadline get
-  /// DeadlineExceeded while the shared load itself keeps running. It is
-  /// ignored when no broker is installed (inline loads cannot be abandoned).
+  /// staleness contract as WithProfile. `deadline_ms` is handed to the
+  /// loader (see BatchLoadFn).
   size_t WithProfiles(const std::vector<ProfileId>& pids,
                       const std::function<void(size_t, const ProfileData&)>& fn,
                       std::vector<Status>* statuses,
                       std::vector<bool>* out_degraded = nullptr,
                       TimestampMs deadline_ms =
                           std::numeric_limits<TimestampMs>::max());
-
-  /// Installs the batch loader. Not thread-safe w.r.t. concurrent reads;
-  /// call during setup, right after construction.
-  void set_batch_loader(BatchLoadFn batch_load) {
-    batch_load_ = std::move(batch_load);
-  }
-
-  /// Installs the load broker (non-owning; must outlive the cache): misses
-  /// then route through it instead of invoking the loader callbacks inline,
-  /// gaining single-flight dedup of concurrent misses for the same pid and
-  /// cross-request window batching of the storage round trip. Same
-  /// setup-time contract as set_batch_loader. Without a broker, misses load
-  /// inline through batch_load_/load_ exactly as before.
-  void set_load_broker(LoadBroker* broker) { load_broker_ = broker; }
-
-  /// Installs the batch flusher: flush passes then drain each dirty shard
-  /// in groups of up to flush_batch_max entries, one flusher call (one
-  /// storage round trip) per group, instead of one store per entry. Same
-  /// setup-time contract as set_batch_loader.
-  void set_batch_flusher(BatchFlushFn batch_flush) {
-    batch_flush_ = std::move(batch_flush);
-  }
-
-  /// Installs the store broker (non-owning; must outlive the cache): flush
-  /// groups then route through it instead of the batch flusher, gaining
-  /// cross-shard window merging (concurrent flush passes' groups share one
-  /// storage round trip) and single-flight store-backs (a hot dirty pid
-  /// re-flushed while its store is on the wire is written at most once per
-  /// window; a changed snapshot requeues behind the in-flight write). The
-  /// snapshot epochs FlushShard already tracks ride along so the broker can
-  /// tell identical re-flushes from newer ones; the epoch recheck after the
-  /// store returns is unchanged. Same setup-time contract as
-  /// set_batch_loader. Eviction write-backs route through the broker too:
-  /// EvictFromShard stores unlocked snapshots (victims are collected under
-  /// the shard lock, written back outside it), so an eviction storm
-  /// coalesces with a concurrent flush storm. Only Invalidate keeps the
-  /// inline point path — it holds the entry lock and must not park in a
-  /// window.
-  void set_store_broker(StoreBroker* broker) { store_broker_ = broker; }
 
   /// Installs the compressed L2 victim tier (non-owning; must outlive the
   /// cache) together with the codec callbacks that translate between
@@ -203,7 +158,8 @@ class GCache {
   ///   * eviction demotes written-back victims into the tier instead of
   ///     dropping them;
   ///   * Invalidate erases the pid from BOTH tiers.
-  /// Same setup-time contract as set_batch_loader.
+  /// Not thread-safe w.r.t. concurrent reads; call during setup, right after
+  /// construction.
   void set_victim_cache(VictimCache* victim, VictimEncodeFn encode,
                         VictimDecodeFn decode) {
     victim_cache_ = victim;
@@ -243,15 +199,6 @@ class GCache {
 
   /// Flushes every dirty entry in every shard; returns entries flushed.
   size_t FlushOnce();
-
-  /// Upper bound on the entry locks one flush group may hold at once. Flush
-  /// passes now snapshot entries one lock at a time and run the storage
-  /// round trip with no entry lock held, so this is unbounded everywhere
-  /// (the effective group size is just `flush_batch_max`). Kept because
-  /// tests and benches derive expected group counts from it; it used to be
-  /// clamped under ThreadSanitizer when a group pinned every entry lock
-  /// across the round trip.
-  static size_t FlushGroupLockCap();
 
   /// Flush + wait until the dirty lists are empty (shutdown, tests).
   void FlushAll();
@@ -344,14 +291,14 @@ class GCache {
   size_t LruIndex(ProfileId pid) const;
   size_t DirtyIndex(ProfileId pid) const;
 
-  /// Finds or creates the entry; returns (entry, was_hit). May invoke the
-  /// loader (through the broker when installed) outside all shard locks.
+  /// Finds or creates the entry; returns (entry, was_hit). A miss goes
+  /// through LoadMisses outside all shard locks.
   Result<std::pair<EntryPtr, bool>> GetOrLoad(ProfileId pid,
                                               bool create_if_missing);
 
-  /// Loads `pids` (unique, sorted) through the broker when installed, else
-  /// the batch loader, else per-pid loads. Results and `out_degraded` align
-  /// with `pids`. The single funnel for every miss in the cache.
+  /// Loads `pids` (unique, sorted): victim-tier promotions first, the loader
+  /// for the rest. Results and `out_degraded` align with `pids`. The single
+  /// funnel for every miss in the cache.
   std::vector<Result<ProfileData>> LoadMisses(
       const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
       TimestampMs deadline_ms);
@@ -385,16 +332,6 @@ class GCache {
   /// resident and keeps its newer state.
   size_t EvictFromShard(LruShard& shard, size_t target_bytes);
 
-  /// Flushes the given entry if dirty (entry lock must be held). Point path:
-  /// only Invalidate uses it — eviction write-back goes through
-  /// EvictFromShard's unlocked batch.
-  Status FlushEntryLocked(Entry& entry);
-
-  /// Flushes all entries queued in one dirty shard. Stops early after
-  /// max_flush_failures_per_pass failed flushes (requeueing the untried
-  /// remainder); `out_failures`, when non-null, reports the failure count.
-  size_t FlushShard(DirtyShard& shard, size_t* out_failures = nullptr);
-
   /// Where a store-health observation came from. Batch observations are the
   /// flush/load passes that sweep many pids — representative of the store's
   /// real state, so one success clears the unhealthy flag. Point
@@ -409,6 +346,30 @@ class GCache {
   void NoteStoreHealth(const Status& status,
                        StoreHealthSource source = StoreHealthSource::kBatch);
 
+  /// An unlocked copy of an entry's profile at one mutation epoch: what the
+  /// flush, eviction and Invalidate write-backs hand to the store. Their
+  /// commit relocks the entry and compares epochs, so a write that landed
+  /// during the round trip keeps the entry dirty.
+  struct Snapshot {
+    EntryPtr entry;
+    ProfileData profile;
+    uint64_t epoch = 0;
+  };
+
+  /// The one store round trip, shared by flush, eviction and Invalidate:
+  /// hands the snapshots to the store with no lock held and returns
+  /// statuses aligned with `snapshots` (a short result list fails them
+  /// all). Counts cache.flushed / cache.flush_failures and notes store
+  /// health from `source`.
+  std::vector<Status> StoreSnapshots(
+      const std::vector<const Snapshot*>& snapshots,
+      StoreHealthSource source);
+
+  /// Flushes all entries queued in one dirty shard. Stops early after
+  /// max_flush_failures_per_pass failed flushes (requeueing the untried
+  /// remainder); `out_failures`, when non-null, reports the failure count.
+  size_t FlushShard(DirtyShard& shard, size_t* out_failures = nullptr);
+
   void SwapLoop();
   void FlushLoop(size_t thread_index);
 
@@ -416,27 +377,25 @@ class GCache {
   /// concurrent loader already established. Returns the entry to use.
   EntryPtr InsertLoaded(ProfileId pid, ProfileData loaded, bool degraded);
 
-  /// Reads the entry's degraded flag combined with store health (entry lock
-  /// must NOT be held).
-  bool EntryDegraded(const EntryPtr& entry) const;
-
   GCacheOptions options_;
   Clock* clock_;
-  FlushFn flush_;
-  LoadFn load_;
-  BatchLoadFn batch_load_;
-  BatchFlushFn batch_flush_;
-  /// Non-owning; installed at setup. When present, every miss routes
-  /// through it (see set_load_broker).
-  LoadBroker* load_broker_ = nullptr;
-  /// Non-owning; installed at setup. When present, every flush group routes
-  /// through it (see set_store_broker).
-  StoreBroker* store_broker_ = nullptr;
+  BatchStoreFn store_;
+  BatchLoadFn load_;
   /// Non-owning; installed at setup (see set_victim_cache).
   VictimCache* victim_cache_ = nullptr;
   VictimEncodeFn victim_encode_;
   VictimDecodeFn victim_decode_;
-  MetricsRegistry* metrics_;
+  // Cached metric handles (null when no registry is wired).
+  Counter* hit_ = nullptr;
+  Counter* miss_ = nullptr;
+  Counter* batch_loads_ = nullptr;
+  Counter* batch_flushes_ = nullptr;
+  Counter* flushed_ = nullptr;
+  Counter* flush_failures_ = nullptr;
+  Counter* evicted_ = nullptr;
+  Counter* demoted_ = nullptr;
+  Counter* l2_decode_failures_ = nullptr;
+  Counter* overlap_stalls_ = nullptr;
 
   std::vector<std::unique_ptr<LruShard>> lru_shards_;
   std::vector<std::unique_ptr<DirtyShard>> dirty_shards_;

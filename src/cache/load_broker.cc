@@ -1,16 +1,21 @@
 #include "cache/load_broker.h"
 
-#include <algorithm>
-#include <chrono>
 #include <unordered_set>
 
 #include "common/trace.h"
 
 namespace ips {
 
+namespace {
+constexpr char kCoalesceSpan[] = "server.coalesce";
+}  // namespace
+
 LoadBroker::LoadBroker(LoadBrokerOptions options, BrokerFetchFn fetch,
                        Clock* clock, MetricsRegistry* metrics)
-    : options_(options), fetch_(std::move(fetch)), clock_(clock) {
+    : options_(options),
+      fetch_(std::move(fetch)),
+      coalescer_(options.window_micros, options.max_batch_pids, clock,
+                 kCoalesceSpan, "kv.load.shared") {
   if (options_.max_batch_pids == 0) options_.max_batch_pids = 1;
   if (metrics != nullptr) {
     // Registered eagerly so the names are live (and the docs-completeness
@@ -23,94 +28,6 @@ LoadBroker::LoadBroker(LoadBrokerOptions options, BrokerFetchFn fetch,
   }
 }
 
-LoadBroker::~LoadBroker() = default;
-
-size_t LoadBroker::InFlightCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inflight_.size();
-}
-
-void LoadBroker::CollectAndDispatch(std::unique_lock<std::mutex>& lock,
-                                    TimestampMs deadline_ms) {
-  // Window wait: linger for other requests' misses. An already-expired
-  // collector skips the window but still dispatches — followers may have
-  // attached to our pending entries and depend on the load completing.
-  const bool expired =
-      deadline_ms != kNoDeadline && clock_->NowMs() >= deadline_ms;
-  if (options_.window_micros > 0 && !expired &&
-      pending_.size() < options_.max_batch_pids) {
-    ScopedSpan window_span("server.coalesce");
-    const auto wall_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.window_micros);
-    while (pending_.size() < options_.max_batch_pids) {
-      if (cv_.wait_until(lock, wall_deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-  }
-
-  // Claim the entire pending set — ours plus every pid other requests
-  // parked during the window. Taking everything (not just max_batch_pids)
-  // keeps the invariant that no pending entry is left without a collector;
-  // oversized sets are split into multiple fetch calls below.
-  std::vector<ProfileId> batch;
-  {
-    ScopedSpan claim_span("server.coalesce");
-    batch = std::move(pending_);
-    pending_.clear();
-    for (ProfileId pid : batch) {
-      inflight_[pid]->state = InFlight::State::kFetching;
-    }
-    collector_active_ = false;
-    // Wake followers so their wait reattributes from server.coalesce to
-    // kv.load.shared, and so a new arrival can elect the next collector.
-    cv_.notify_all();
-  }
-
-  std::vector<ProfileId> chunk;
-  std::vector<bool> degraded;
-  for (size_t begin = 0; begin < batch.size();
-       begin += options_.max_batch_pids) {
-    const size_t end = std::min(batch.size(), begin + options_.max_batch_pids);
-    {
-      ScopedSpan chunk_span("server.coalesce");
-      chunk.assign(batch.begin() + begin, batch.begin() + end);
-      degraded.assign(chunk.size(), false);
-    }
-    lock.unlock();
-    // The storage round trip every attached waiter shares. Runs outside mu_
-    // on this request thread, so kv.load / codec.decode spans attribute to
-    // the collector's trace like any inline load.
-    std::vector<Result<ProfileData>> fetched = fetch_(chunk, &degraded);
-    // Publication — re-acquiring mu_ (contention included) and fanning the
-    // results into the in-flight entries — opens its span before the lock so
-    // the wait charges to coalescing, not to an untraced gap.
-    ScopedSpan publish_span("server.coalesce");
-    lock.lock();
-    if (window_batches_ != nullptr) window_batches_->Increment();
-    if (batch_pids_ != nullptr) {
-      batch_pids_->Record(static_cast<int64_t>(chunk.size()));
-    }
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      auto it = inflight_.find(chunk[i]);
-      InFlightPtr entry = it->second;
-      // Leave the table first: a miss arriving after publication must start
-      // a fresh load, not observe a completed entry.
-      inflight_.erase(it);
-      entry->degraded = i < degraded.size() && degraded[i];
-      if (i < fetched.size()) {
-        entry->result.emplace(std::move(fetched[i]));
-      } else {
-        entry->result.emplace(
-            Status::Internal("batch loader returned a short result list"));
-      }
-      entry->state = InFlight::State::kDone;
-    }
-    cv_.notify_all();
-  }
-}
-
 std::vector<Result<ProfileData>> LoadBroker::Load(
     const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
     TimestampMs deadline_ms) {
@@ -120,96 +37,80 @@ std::vector<Result<ProfileData>> LoadBroker::Load(
   thread_local std::unordered_set<ProfileId> seen_in_call;
 
   std::vector<Result<ProfileData>> results;
-  std::vector<InFlightPtr> slots;
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  std::vector<Coalescer<Entry>::EntryPtr> slots;
+  std::unique_lock<std::mutex> lock;
   size_t created = 0;
   {
-    // Broker bookkeeping — slot setup, taking mu_ (contention included) and
-    // joining or creating in-flight entries — is coalescing work; attributing
-    // it to server.coalesce keeps the traced stage sum covering the full
-    // path.
-    ScopedSpan attach_span("server.coalesce");
+    // Broker bookkeeping — slot setup, taking the lock (contention
+    // included) and joining in-flight loads — is coalescing work;
+    // attributing it to server.coalesce keeps the traced stage sum covering
+    // the full path.
+    ScopedSpan attach_span(kCoalesceSpan);
     out_degraded->assign(pids.size(), false);
     if (pids.empty()) return results;
     results.reserve(pids.size());
     seen_in_call.clear();
     slots.reserve(pids.size());
-    lock.lock();
-
-    // Attach: join the in-flight load for each pid, creating pending entries
-    // for pids nobody is loading yet.
+    lock = coalescer_.Lock();
     for (ProfileId pid : pids) {
       const bool first_in_call = seen_in_call.insert(pid).second;
-      auto [it, inserted] = inflight_.try_emplace(pid);
+      bool inserted = false;
+      auto entry = coalescer_.Join(pid, &inserted);
       if (inserted) {
-        it->second = std::make_shared<InFlight>();
-        pending_.push_back(pid);
         ++created;
       } else if (first_in_call) {
-        if (it->second->state == InFlight::State::kFetching) {
-          // The round trip is already on the wire; ride it.
-          if (single_flight_hits_ != nullptr) single_flight_hits_->Increment();
-        } else {
-          // Still pending: merged into a window another request opened.
-          if (cross_request_dedup_ != nullptr) {
-            cross_request_dedup_->Increment();
+        // Riding a round trip already on the wire, or merged into a window
+        // another request opened.
+        Counter* joined = entry->state == CoalescedEntry::State::kInFlight
+                              ? single_flight_hits_
+                              : cross_request_dedup_;
+        if (joined != nullptr) joined->Increment();
+      }
+      ++entry->waiters;
+      slots.push_back(std::move(entry));
+    }
+  }
+
+  // The collector's fetch runs on this request thread outside the lock, so
+  // kv.load / codec.decode spans attribute to its trace like any inline
+  // load.
+  std::vector<bool> degraded;
+  std::vector<Result<ProfileData>> fetched;
+  coalescer_.Collect(
+      lock, created, deadline_ms,
+      [&](const Coalescer<Entry>::Chunk& chunk) {
+        degraded.assign(chunk.pids.size(), false);
+        fetched = fetch_(chunk.pids, &degraded);
+      },
+      [&](const Coalescer<Entry>::Chunk& chunk) {
+        if (window_batches_ != nullptr) window_batches_->Increment();
+        if (batch_pids_ != nullptr) {
+          batch_pids_->Record(static_cast<int64_t>(chunk.pids.size()));
+        }
+        for (size_t i = 0; i < chunk.entries.size(); ++i) {
+          Entry& entry = *chunk.entries[i];
+          entry.degraded = i < degraded.size() && degraded[i];
+          if (i < fetched.size()) {
+            entry.result.emplace(std::move(fetched[i]));
+          } else {
+            entry.result.emplace(
+                Status::Internal("batch loader returned a short result list"));
           }
         }
-      }
-      ++it->second->waiters;
-      slots.push_back(it->second);
-    }
+      });
+  coalescer_.Await(lock, slots, deadline_ms);
 
-    // A creation that fills the active collector's window must wake it so
-    // the batch closes early — its window wait only re-checks the pending
-    // count on notification.
-    if (created > 0 && collector_active_ &&
-        pending_.size() >= options_.max_batch_pids) {
-      cv_.notify_all();
-    }
-  }
-
-  // Collector election: pending entries always have exactly one active
-  // collector. If none is active, every pending pid was created just now by
-  // us (under this same lock hold), so the duty is ours.
-  if (created > 0 && !collector_active_) {
-    collector_active_ = true;
-    CollectAndDispatch(lock, deadline_ms);
-  }
-
-  const auto any_in_state = [&slots](InFlight::State state) {
-    for (const auto& entry : slots) {
-      if (entry->state == state) return true;
-    }
-    return false;
-  };
-
-  // Follower waits, attributed per phase. Phase 1: a collector is still
-  // gathering the window our pids are parked in. Phase 2: the shared fetch
-  // is on the wire on another thread. Either wait ends early when the
-  // deadline passes.
-  if (any_in_state(InFlight::State::kPending)) {
-    ScopedSpan coalesce_span("server.coalesce");
-    WaitUntil(lock, deadline_ms,
-              [&] { return !any_in_state(InFlight::State::kPending); });
-  }
-  if (any_in_state(InFlight::State::kFetching)) {
-    ScopedSpan shared_span("kv.load.shared");
-    WaitUntil(lock, deadline_ms,
-              [&] { return !any_in_state(InFlight::State::kFetching); });
-  }
-
-  // Collect, fanning the shared result — including its degraded flag — to
-  // this waiter. A pid still unresolved here means our deadline expired: we
-  // detach (drop our waiter count) and fail only our own slot; the entry
-  // stays healthy for the collector and the other waiters. Fan-out copies
-  // are coalescing overhead, so they report as server.coalesce too.
-  ScopedSpan collect_span("server.coalesce");
+  // Fan the shared result — including its degraded flag — to this waiter.
+  // A pid still unresolved here means our deadline expired: we detach (drop
+  // our waiter count) and fail only our own slot; the entry stays healthy
+  // for the collector and the other waiters. Fan-out copies are coalescing
+  // overhead, so they report as server.coalesce too.
+  ScopedSpan collect_span(kCoalesceSpan);
   int64_t detached = 0;
   for (size_t i = 0; i < pids.size(); ++i) {
-    InFlight& entry = *slots[i];
+    Entry& entry = *slots[i];
     --entry.waiters;
-    if (entry.state != InFlight::State::kDone) {
+    if (entry.state != CoalescedEntry::State::kDone) {
       ++detached;
       results.emplace_back(
           Status::DeadlineExceeded("deadline expired during shared load"));

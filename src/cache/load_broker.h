@@ -14,13 +14,12 @@
 //     merge into ONE Persister::LoadBatch / KvStore::MultiGet round trip,
 //     with duplicate pids deduped across requests.
 //
-// Scheduling is leader/follower with no background thread: the first caller
-// to create a pending entry becomes the collector, waits out the window on
-// its own request thread, then dispatches the whole accumulated pending set
-// (its own pids plus everyone else's). Followers just wait on the shared
-// entries. A waiter whose deadline expires detaches — its unfinished pids
-// fail with DeadlineExceeded — WITHOUT cancelling or poisoning the shared
-// load; the collector still completes it for the remaining waiters.
+// Both run on the shared Coalescer (cache/coalescer.h); this file is the read
+// policy on top of it. A pid joins an in-flight load in any state — pending
+// (merged into an open window) or fetching (riding the round trip already
+// on the wire). A waiter whose deadline expires detaches — its unfinished
+// pids fail with DeadlineExceeded — WITHOUT cancelling or poisoning the
+// shared load; the collector still completes it for the remaining waiters.
 //
 // Trace attribution (bench_table2_latency's stage-sum self-check): time a
 // waiter spends in the collection window reports as `server.coalesce`, time
@@ -31,16 +30,13 @@
 #ifndef IPS_CACHE_LOAD_BROKER_H_
 #define IPS_CACHE_LOAD_BROKER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/coalescer.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -74,7 +70,6 @@ class LoadBroker {
 
   LoadBroker(LoadBrokerOptions options, BrokerFetchFn fetch, Clock* clock,
              MetricsRegistry* metrics = nullptr);
-  ~LoadBroker();
 
   LoadBroker(const LoadBroker&) = delete;
   LoadBroker& operator=(const LoadBroker&) = delete;
@@ -91,63 +86,22 @@ class LoadBroker {
 
   /// Pids currently pending or fetching (tests: an expired waiter must not
   /// leave a poisoned entry behind).
-  size_t InFlightCount() const;
+  size_t InFlightCount() const { return coalescer_.InFlightCount(); }
 
   const LoadBrokerOptions& options() const { return options_; }
 
  private:
-  /// One coalesced load. Created pending, moved to fetching when a collector
-  /// claims it, done when the fetch publishes. Waiters hold shared_ptrs, so
-  /// the entry outlives its removal from the in-flight table.
-  struct InFlight {
-    enum class State { kPending, kFetching, kDone };
-    State state = State::kPending;         // guarded by mu_
-    int waiters = 0;                       // guarded by mu_
-    bool degraded = false;                 // guarded by mu_
-    /// Unset until state == kDone (Result has no default construction).
-    std::optional<Result<ProfileData>> result;  // guarded by mu_
+  /// One coalesced load: every waiter holds it until the result publishes.
+  struct Entry : CoalescedEntry {
+    int waiters = 0;        // guarded by the coalescer
+    bool degraded = false;  // guarded by the coalescer
+    /// Unset until done (Result has no default construction).
+    std::optional<Result<ProfileData>> result;  // guarded by the coalescer
   };
-  using InFlightPtr = std::shared_ptr<InFlight>;
-
-  /// Collector role: wait out the window, then dispatch the entire pending
-  /// set in max_batch_pids chunks. Called with `lock` held; returns with it
-  /// held. `deadline_ms` only shortens the window wait — the dispatch itself
-  /// always runs, because other waiters depend on it.
-  void CollectAndDispatch(std::unique_lock<std::mutex>& lock,
-                          TimestampMs deadline_ms);
-
-  /// Waits on cv_ until pred() holds or the (simulated-domain) deadline
-  /// passes. Polls at ~1ms wall granularity when a deadline is set, so a
-  /// ManualClock advanced past the deadline wakes the waiter promptly.
-  template <typename Pred>
-  bool WaitUntil(std::unique_lock<std::mutex>& lock, TimestampMs deadline_ms,
-                 Pred pred) {
-    if (deadline_ms == kNoDeadline) {
-      cv_.wait(lock, pred);
-      return true;
-    }
-    while (!pred()) {
-      if (clock_->NowMs() >= deadline_ms) return pred();
-      cv_.wait_for(lock, std::chrono::milliseconds(1));
-    }
-    return true;
-  }
 
   LoadBrokerOptions options_;
   BrokerFetchFn fetch_;
-  Clock* clock_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  /// Every pending or fetching load. Entries leave the table the moment
-  /// their result is published, so later misses start a fresh load.
-  std::unordered_map<ProfileId, InFlightPtr> inflight_;
-  /// Pids created but not yet claimed by a collector, in arrival order.
-  std::vector<ProfileId> pending_;
-  /// Whether a collector is currently gathering `pending_`. Invariant: a
-  /// non-empty pending set always has an active collector, so no pending
-  /// entry can stall.
-  bool collector_active_ = false;
+  Coalescer<Entry> coalescer_;
 
   // Cached metric handles (null when no registry is wired).
   Counter* single_flight_hits_ = nullptr;

@@ -1,17 +1,21 @@
 #include "cache/store_broker.h"
 
-#include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "common/trace.h"
 
 namespace ips {
 
+namespace {
+constexpr char kCoalesceSpan[] = "server.store_coalesce";
+}  // namespace
+
 StoreBroker::StoreBroker(StoreBrokerOptions options, BrokerStoreFn store,
-                         Clock* clock, MetricsRegistry* metrics)
-    : options_(options), store_(std::move(store)), clock_(clock) {
-  (void)clock_;  // windows are wall-clock; kept for lifecycle symmetry
+                         MetricsRegistry* metrics)
+    : options_(options),
+      store_(std::move(store)),
+      coalescer_(options.window_micros, options.max_batch_pids,
+                 /*clock=*/nullptr, kCoalesceSpan, "kv.store.shared") {
   if (options_.max_batch_pids == 0) options_.max_batch_pids = 1;
   if (metrics != nullptr) {
     // Registered eagerly so the names are live (and the docs-completeness
@@ -25,111 +29,14 @@ StoreBroker::StoreBroker(StoreBrokerOptions options, BrokerStoreFn store,
   }
 }
 
-StoreBroker::~StoreBroker() = default;
-
-size_t StoreBroker::InFlightCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inflight_.size();
-}
-
-void StoreBroker::CollectAndDispatch(std::unique_lock<std::mutex>& lock) {
-  // Window wait: linger for other flush threads' groups. Unlike the read
-  // broker there is no deadline to shorten the window — flush passes run on
-  // background threads and tolerate the full linger.
-  if (options_.window_micros > 0 &&
-      pending_.size() < options_.max_batch_pids) {
-    ScopedSpan window_span("server.store_coalesce");
-    const auto wall_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.window_micros);
-    while (pending_.size() < options_.max_batch_pids) {
-      if (cv_.wait_until(lock, wall_deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-  }
-
-  // Claim the entire pending set — our groups plus every pid other flush
-  // threads parked during the window. Taking everything (not just
-  // max_batch_pids) keeps the invariant that no pending entry is left
-  // without a collector; oversized sets are split into multiple store calls
-  // below. Once an entry is kStoring its snapshot pointer and epoch are
-  // frozen: later duplicates piggyback or requeue, they never mutate it.
-  std::vector<ProfileId> batch;
-  std::vector<InFlightPtr> entries;
-  {
-    ScopedSpan claim_span("server.store_coalesce");
-    batch = std::move(pending_);
-    pending_.clear();
-    entries.reserve(batch.size());
-    for (ProfileId pid : batch) {
-      InFlightPtr entry = inflight_[pid];
-      entry->state = InFlight::State::kStoring;
-      entries.push_back(std::move(entry));
-    }
-    collector_active_ = false;
-    // Wake followers so their wait reattributes from server.store_coalesce
-    // to kv.store.shared, and so a new arrival can elect the next collector.
-    cv_.notify_all();
-  }
-
-  std::vector<ProfileId> chunk_pids;
-  std::vector<const ProfileData*> chunk_profiles;
-  for (size_t begin = 0; begin < batch.size();
-       begin += options_.max_batch_pids) {
-    const size_t end = std::min(batch.size(), begin + options_.max_batch_pids);
-    bool cross_shard = false;
-    {
-      ScopedSpan chunk_span("server.store_coalesce");
-      chunk_pids.assign(batch.begin() + begin, batch.begin() + end);
-      chunk_profiles.clear();
-      chunk_profiles.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        chunk_profiles.push_back(entries[i]->profile);
-        if (entries[i]->submission != entries[begin]->submission) {
-          cross_shard = true;
-        }
-      }
-    }
-    lock.unlock();
-    // The storage round trip every merged flush group shares. Runs outside
-    // mu_ on this flush thread, so kv.store spans attribute to the
-    // collector's trace like any inline store. The snapshot pointers are
-    // owned by submitters blocked until their entries publish, so they stay
-    // valid across the unlocked call.
-    std::vector<Status> statuses = store_(chunk_pids, chunk_profiles);
-    // Publication — re-acquiring mu_ (contention included) and fanning the
-    // statuses into the in-flight entries — opens its span before the lock
-    // so the wait charges to coalescing, not to an untraced gap.
-    ScopedSpan publish_span("server.store_coalesce");
-    lock.lock();
-    if (batch_pids_ != nullptr) {
-      batch_pids_->Record(static_cast<int64_t>(chunk_pids.size()));
-    }
-    if (cross_shard && cross_shard_batches_ != nullptr) {
-      cross_shard_batches_->Increment();
-    }
-    for (size_t i = begin; i < end; ++i) {
-      InFlight& entry = *entries[i];
-      // Leave the table first: a flush arriving after publication must start
-      // a fresh store-back, not observe a completed entry.
-      inflight_.erase(batch[i]);
-      if (i - begin < statuses.size()) {
-        entry.status.emplace(statuses[i - begin]);
-      } else {
-        entry.status.emplace(
-            Status::Internal("batch store returned a short result list"));
-      }
-      entry.state = InFlight::State::kDone;
-    }
-    cv_.notify_all();
-  }
-}
-
 std::vector<Status> StoreBroker::Store(
     const std::vector<ProfileId>& pids,
     const std::vector<const ProfileData*>& profiles,
     const std::vector<uint64_t>& epochs) {
+  using Chunk = Coalescer<Entry>::Chunk;
+  using EntryPtr = Coalescer<Entry>::EntryPtr;
+  constexpr TimestampMs kNoDeadline = Coalescer<Entry>::kNoDeadline;
+
   std::vector<Status> results(pids.size(), Status::OK());
   if (profiles.size() != pids.size() || epochs.size() != pids.size()) {
     results.assign(pids.size(),
@@ -143,116 +50,108 @@ std::vector<Status> StoreBroker::Store(
   // bytes (or newer ones), or blocks behind an in-flight write of OLDER
   // bytes and resubmits once it lands. `remaining` holds the indices still
   // to attach; the requeue path feeds it for the next round.
-  struct Slot {
-    size_t index = 0;
-    InFlightPtr entry;
-  };
-  std::vector<Slot> attached;
-  std::vector<Slot> blocked;
+  std::vector<size_t> attached_ix, blocked_ix;
+  std::vector<EntryPtr> attached, blocked;
   std::vector<size_t> remaining(pids.size());
   std::iota(remaining.begin(), remaining.end(), size_t{0});
 
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  std::unique_lock<std::mutex> lock;
   {
-    // Broker bookkeeping — taking mu_ (contention included) and joining or
-    // creating in-flight entries — is coalescing work; attributing it to
+    // Broker bookkeeping — taking the lock (contention included) and joining
+    // in-flight entries — is coalescing work; attributing it to
     // server.store_coalesce keeps the traced stage sum covering the path.
-    ScopedSpan setup_span("server.store_coalesce");
+    ScopedSpan setup_span(kCoalesceSpan);
+    attached_ix.reserve(pids.size());
     attached.reserve(pids.size());
-    lock.lock();
+    lock = coalescer_.Lock();
   }
   const uint64_t submission = ++next_submission_;
+
+  // The collector's store runs on this flush thread outside the lock, so
+  // kv.store spans attribute to its trace like any inline store. The
+  // snapshot pointers are owned by submitters blocked until their entries
+  // publish, so they stay valid across the unlocked call.
+  std::vector<const ProfileData*> chunk_profiles;
+  std::vector<Status> statuses;
+  bool cross_shard = false;
+  const auto dispatch = [&](const Chunk& chunk) {
+    {
+      ScopedSpan chunk_span(kCoalesceSpan);
+      chunk_profiles.clear();
+      cross_shard = false;
+      for (const Entry* entry : chunk.entries) {
+        chunk_profiles.push_back(entry->profile);
+        cross_shard |= entry->submission != chunk.entries[0]->submission;
+      }
+    }
+    statuses = store_(chunk.pids, chunk_profiles);
+  };
+  const auto publish = [&](const Chunk& chunk) {
+    if (batch_pids_ != nullptr) {
+      batch_pids_->Record(static_cast<int64_t>(chunk.pids.size()));
+    }
+    if (cross_shard && cross_shard_batches_ != nullptr) {
+      cross_shard_batches_->Increment();
+    }
+    for (size_t i = 0; i < chunk.entries.size(); ++i) {
+      chunk.entries[i]->status.emplace(
+          i < statuses.size()
+              ? statuses[i]
+              : Status::Internal("batch store returned a short result list"));
+    }
+  };
 
   while (!remaining.empty()) {
     size_t created = 0;
     {
-      ScopedSpan attach_span("server.store_coalesce");
+      ScopedSpan attach_span(kCoalesceSpan);
       for (size_t i : remaining) {
-        auto [it, inserted] = inflight_.try_emplace(pids[i]);
+        bool inserted = false;
+        EntryPtr entry = coalescer_.Join(pids[i], &inserted);
         if (inserted) {
-          it->second = std::make_shared<InFlight>();
-          InFlight& entry = *it->second;
-          entry.epoch = epochs[i];
-          entry.profile = profiles[i];
-          entry.submission = submission;
-          pending_.push_back(pids[i]);
+          entry->epoch = epochs[i];
+          entry->profile = profiles[i];
+          entry->submission = submission;
           ++created;
-          attached.push_back(Slot{i, it->second});
-        } else if (it->second->state == InFlight::State::kPending) {
+        } else if (entry->state == CoalescedEntry::State::kPending) {
           // Merged into a window another flush thread opened before its
           // write dispatched: ONE write serves both submissions, carrying
           // the newest snapshot of the pid.
-          InFlightPtr entry = it->second;
           if (epochs[i] > entry->epoch) {
             entry->epoch = epochs[i];
             entry->profile = profiles[i];
           }
-          if (single_flight_hits_ != nullptr) {
-            single_flight_hits_->Increment();
-          }
-          attached.push_back(Slot{i, std::move(entry)});
-        } else if (epochs[i] > it->second->epoch) {
+          if (single_flight_hits_ != nullptr) single_flight_hits_->Increment();
+        } else if (epochs[i] > entry->epoch) {
           // The write already on the wire carries an older snapshot; ours
           // must still be written — but never concurrently with the older
           // one. Requeue: wait for the in-flight write, then resubmit.
           if (requeued_pids_ != nullptr) requeued_pids_->Increment();
-          blocked.push_back(Slot{i, it->second});
+          blocked_ix.push_back(i);
+          blocked.push_back(std::move(entry));
+          continue;
         } else {
-          // Storing, and the in-flight write carries our exact snapshot
-          // (epoch unchanged) or a newer one that supersedes it: piggyback.
-          // The hot-dirty-pid case — one kv.store serves several flushes.
-          if (single_flight_hits_ != nullptr) {
-            single_flight_hits_->Increment();
-          }
-          attached.push_back(Slot{i, it->second});
+          // In flight with our exact snapshot (epoch unchanged) or a newer
+          // one that supersedes it: piggyback. The hot-dirty-pid case — one
+          // kv.store serves several flushes.
+          if (single_flight_hits_ != nullptr) single_flight_hits_->Increment();
         }
-      }
-      // A creation that fills the active collector's window must wake it so
-      // the batch closes early — its window wait only re-checks the pending
-      // count on notification.
-      if (created > 0 && collector_active_ &&
-          pending_.size() >= options_.max_batch_pids) {
-        cv_.notify_all();
+        attached_ix.push_back(i);
+        attached.push_back(std::move(entry));
       }
     }
     remaining.clear();
 
-    // Collector election: pending entries always have exactly one active
-    // collector. If none is active, every pending pid was created just now
-    // by us (under this same lock hold), so the duty is ours.
-    if (created > 0 && !collector_active_) {
-      collector_active_ = true;
-      CollectAndDispatch(lock);
-    }
-
-    const auto any_in_state = [&attached](InFlight::State state) {
-      for (const Slot& slot : attached) {
-        if (slot.entry->state == state) return true;
-      }
-      return false;
-    };
-
-    // Follower waits, attributed per phase. Phase 1: a collector is still
-    // gathering the window our groups merged into. Phase 2: the shared
-    // store is on the wire on another thread.
-    if (any_in_state(InFlight::State::kPending)) {
-      ScopedSpan coalesce_span("server.store_coalesce");
-      cv_.wait(lock,
-               [&] { return !any_in_state(InFlight::State::kPending); });
-    }
-    if (any_in_state(InFlight::State::kStoring)) {
-      ScopedSpan shared_span("kv.store.shared");
-      cv_.wait(lock,
-               [&] { return !any_in_state(InFlight::State::kStoring); });
-    }
-
+    coalescer_.Collect(lock, created, kNoDeadline, dispatch, publish);
+    coalescer_.Await(lock, attached, kNoDeadline);
     {
       // Fan each shared status back to this submission's slot, so a partial
       // MultiSet failure reaches exactly the flush groups whose pids failed.
-      ScopedSpan collect_span("server.store_coalesce");
-      for (const Slot& slot : attached) {
-        results[slot.index] = *slot.entry->status;
+      ScopedSpan collect_span(kCoalesceSpan);
+      for (size_t k = 0; k < attached.size(); ++k) {
+        results[attached_ix[k]] = *attached[k]->status;
       }
+      attached_ix.clear();
       attached.clear();
     }
 
@@ -261,14 +160,8 @@ std::vector<Status> StoreBroker::Store(
       // newer snapshots may be submitted (per-pid store order stays epoch
       // order). The wake and the resubmission share one lock hold, so no
       // third writer can slip between them unobserved.
-      ScopedSpan shared_span("kv.store.shared");
-      cv_.wait(lock, [&] {
-        for (const Slot& slot : blocked) {
-          if (slot.entry->state != InFlight::State::kDone) return false;
-        }
-        return true;
-      });
-      for (const Slot& slot : blocked) remaining.push_back(slot.index);
+      coalescer_.Await(lock, blocked, kNoDeadline);
+      remaining.swap(blocked_ix);
       blocked.clear();
     }
   }

@@ -18,16 +18,14 @@
 //     pending write when its snapshot epoch is unchanged (the in-flight
 //     bytes are identical), and requeues behind it when the epoch moved on
 //     (the newer snapshot must still be written, but never concurrently with
-//     the older one, so the store sees writes for one pid in epoch order).
+//     the older one, and only after it has landed).
 //
-// Scheduling is leader/follower with no background thread, exactly like the
-// read broker: the first submitter to create a pending entry becomes the
-// collector, waits out the window on its own flush thread, then dispatches
-// the whole accumulated pending set. Per-pid statuses fan back to each
-// originating submission, so a partial MultiSet failure keeps GCache's
-// per-status requeue semantics, and the cache's mutation-epoch recheck after
-// Store() returns guards lost updates exactly as before — the broker only
-// decides *which snapshot bytes* ride *which round trip*.
+// Both run on the shared Coalescer (cache/coalescer.h); this file is the
+// write policy on top of it. Per-pid statuses fan back to each originating
+// submission, so a partial MultiSet failure keeps GCache's per-status
+// requeue semantics, and the cache's mutation-epoch recheck after Store()
+// returns still guards lost updates — the broker only decides *which
+// snapshot bytes* ride *which round trip*.
 //
 // There is no deadline detach (flush passes have no deadlines): a submitter
 // always blocks until every one of its pids resolves, which is also what
@@ -42,16 +40,12 @@
 #ifndef IPS_CACHE_STORE_BROKER_H_
 #define IPS_CACHE_STORE_BROKER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "common/clock.h"
+#include "cache/coalescer.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "core/profile_data.h"
@@ -71,8 +65,8 @@ struct StoreBrokerOptions {
   size_t max_batch_pids = 256;
 };
 
-/// Downstream store: same shape as GCache's BatchFlushFn (statuses align
-/// with the pid list). Typically Persister::StoreBatch.
+/// Downstream store: GCache's BatchStoreFn without the epochs (statuses
+/// align with the pid list). Typically Persister::StoreBatch.
 using BrokerStoreFn = std::function<std::vector<Status>(
     const std::vector<ProfileId>&, const std::vector<const ProfileData*>&)>;
 
@@ -80,9 +74,8 @@ using BrokerStoreFn = std::function<std::vector<Status>(
 /// destruction, the same lifetime contract as the cache above it.
 class StoreBroker {
  public:
-  StoreBroker(StoreBrokerOptions options, BrokerStoreFn store, Clock* clock,
+  StoreBroker(StoreBrokerOptions options, BrokerStoreFn store,
               MetricsRegistry* metrics = nullptr);
-  ~StoreBroker();
 
   StoreBroker(const StoreBroker&) = delete;
   StoreBroker& operator=(const StoreBroker&) = delete;
@@ -107,54 +100,33 @@ class StoreBroker {
                             const std::vector<uint64_t>& epochs);
 
   /// Pids currently pending or storing (tests: the table must drain clean).
-  size_t InFlightCount() const;
+  size_t InFlightCount() const { return coalescer_.InFlightCount(); }
 
   const StoreBrokerOptions& options() const { return options_; }
 
  private:
-  /// One coalesced store-back. Created pending, moved to storing when a
-  /// collector claims it, done when the store publishes. Submitters hold
-  /// shared_ptrs, so the entry outlives its removal from the in-flight
-  /// table.
-  struct InFlight {
-    enum class State { kPending, kStoring, kDone };
-    State state = State::kPending;  // guarded by mu_
+  /// One coalesced store-back. Its snapshot pointer and epoch change only
+  /// while pending; once in flight they are frozen, so later duplicates
+  /// piggyback or requeue but never mutate it.
+  struct Entry : CoalescedEntry {
     /// Epoch of the snapshot this entry will write (the newest merged in
-    /// while pending). Guarded by mu_.
+    /// while pending). Guarded by the coalescer.
     uint64_t epoch = 0;
     /// Borrowed from the submitter whose snapshot rides; that submitter is
     /// blocked until this entry is done, so the pointer stays valid across
-    /// the unlocked store. Guarded by mu_ until claimed.
+    /// the unlocked store.
     const ProfileData* profile = nullptr;
-    /// Submission id of the creator (cross-shard merge detection). Guarded
-    /// by mu_.
+    /// Submission id of the creator (cross-shard merge detection).
     uint64_t submission = 0;
-    /// Unset until state == kDone.
-    std::optional<Status> status;  // guarded by mu_
+    /// Unset until done.
+    std::optional<Status> status;  // guarded by the coalescer
   };
-  using InFlightPtr = std::shared_ptr<InFlight>;
-
-  /// Collector role: wait out the window, then dispatch the entire pending
-  /// set in max_batch_pids chunks. Called with `lock` held; returns with it
-  /// held.
-  void CollectAndDispatch(std::unique_lock<std::mutex>& lock);
 
   StoreBrokerOptions options_;
   BrokerStoreFn store_;
-  Clock* clock_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  /// Every pending or storing store-back. Entries leave the table the
-  /// moment their status is published, so later flushes start fresh.
-  std::unordered_map<ProfileId, InFlightPtr> inflight_;
-  /// Pids created but not yet claimed by a collector, in arrival order.
-  std::vector<ProfileId> pending_;
-  /// Whether a collector is currently gathering `pending_`. Invariant: a
-  /// non-empty pending set always has an active collector, so no pending
-  /// entry can stall.
-  bool collector_active_ = false;
-  /// Monotonic id per Store call, for cross-shard merge accounting.
+  Coalescer<Entry> coalescer_;
+  /// Monotonic id per Store call, for cross-shard merge accounting. Guarded
+  /// by the coalescer.
   uint64_t next_submission_ = 0;
 
   // Cached metric handles (null when no registry is wired).

@@ -1,10 +1,9 @@
-// Fixed-size worker pools with bounded queues. ThreadPool is the single-queue
-// original (flush/swap machinery tests, small helpers). StripedThreadPool is
-// the sharded variant used by the asynchronous compaction drain (Section
-// III-D: compaction runs off the serving path in a dedicated pool "with
-// capped parallelism"): tasks land in per-shard FIFO queues and N workers
-// drain N shards concurrently, stealing from foreign shards when their own
-// stripe runs dry, so a drain storm never funnels through one queue mutex.
+// StripedThreadPool: the fixed-size worker pool with bounded, sharded queues
+// behind the asynchronous compaction drain (Section III-D: compaction runs
+// off the serving path in a dedicated pool "with capped parallelism"):
+// tasks land in per-shard FIFO queues and N workers drain N shards
+// concurrently, stealing from foreign shards when their own stripe runs
+// dry, so a drain storm never funnels through one queue mutex.
 #ifndef IPS_COMMON_THREAD_POOL_H_
 #define IPS_COMMON_THREAD_POOL_H_
 
@@ -20,42 +19,6 @@
 #include <vector>
 
 namespace ips {
-
-class ThreadPool {
- public:
-  /// Starts `num_threads` workers. `max_queue` bounds the number of pending
-  /// tasks; submissions beyond it are rejected (the caller decides whether to
-  /// degrade, e.g. skip a partial compaction under load).
-  explicit ThreadPool(size_t num_threads, size_t max_queue = 4096);
-
-  /// Drains the queue and joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; returns false when the queue is full or the pool is
-  /// shutting down.
-  bool Submit(std::function<void()> task);
-
-  /// Blocks until all submitted tasks have completed.
-  void Wait();
-
-  size_t num_threads() const { return workers_.size(); }
-  size_t QueueDepth() const;
-
- private:
-  void WorkerLoop();
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::deque<std::function<void()>> queue_;
-  size_t max_queue_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
 
 /// Sharded work queue + striped workers. Submissions carry a shard hint
 /// (e.g. a pid hash): tasks for one shard run in FIFO order, different

@@ -45,33 +45,18 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
 
   GCacheOptions cache_options = options_.cache;
   cache_options.write_granularity_ms = schema.write_granularity_ms;
-  FlushFn flush_fn;
-  if (options_.persist_writes) {
-    flush_fn = [persister](ProfileId pid, const ProfileData& profile) {
-      return persister->Flush(pid, profile);
-    };
-  } else {
-    // Non-primary region: durability is the primary region's job; evictions
-    // and flushes simply drop the dirty bit.
-    flush_fn = [](ProfileId, const ProfileData&) { return Status::OK(); };
-  }
-  table->cache = std::make_unique<GCache>(
-      cache_options, clock_, std::move(flush_fn),
-      [persister](ProfileId pid, bool* out_degraded) {
-        return persister->Load(pid, out_degraded);
-      },
-      metrics_);
-  // Batch misses load through the persister's coalesced path: one
-  // KvStore::MultiGet round trip for the whole miss set.
-  table->cache->set_batch_loader(
-      [persister](const std::vector<ProfileId>& pids,
-                  std::vector<bool>* out_degraded) {
-        return persister->LoadBatch(pids, out_degraded);
-      });
-  // The load broker stacks cross-REQUEST coalescing on top: concurrent
-  // requests' misses merge into one LoadBatch round trip and concurrent
-  // misses for the same hot pid share a single in-flight load. The instance
-  // owns the broker; the cache only borrows it.
+  // The cache takes one load and one store callable; this is the one place
+  // that decides what stands behind them. Misses load through the
+  // persister's coalesced path (one KvStore::MultiGet per miss set); the
+  // load broker stacks cross-REQUEST coalescing on top: concurrent requests'
+  // misses merge into one LoadBatch round trip and concurrent misses for the
+  // same hot pid share a single in-flight load. The instance owns the
+  // brokers; the cache only calls through them.
+  BatchLoadFn load = [persister](const std::vector<ProfileId>& pids,
+                                 std::vector<bool>* out_degraded,
+                                 TimestampMs) {
+    return persister->LoadBatch(pids, out_degraded);
+  };
   if (options_.enable_load_broker) {
     table->load_broker = std::make_unique<LoadBroker>(
         options_.load_broker,
@@ -80,39 +65,49 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
           return persister->LoadBatch(pids, out_degraded);
         },
         clock_, metrics_);
-    table->cache->set_load_broker(table->load_broker.get());
+    load = [broker = table->load_broker.get()](
+               const std::vector<ProfileId>& pids,
+               std::vector<bool>* out_degraded, TimestampMs deadline_ms) {
+      return broker->Load(pids, out_degraded, deadline_ms);
+    };
   }
-  // Dirty-shard flushes drain through the persister's batched path: one
+  // Dirty entries drain through the persister's batched path: one
   // KvStore::MultiSet round trip per flush group (the write-side mirror).
-  if (options_.persist_writes) {
-    table->cache->set_batch_flusher(
+  // The store broker stacks cross-SHARD coalescing on top: concurrent flush
+  // passes' groups merge into one StoreBatch round trip and a hot dirty pid
+  // re-flushed mid-store piggybacks on (or requeues behind) the write
+  // already on the wire. A non-primary region persists nothing —
+  // durability is the primary region's job — so flushes and evictions there
+  // simply drop the dirty bit and there is nothing to coalesce.
+  BatchStoreFn store = [](const std::vector<ProfileId>& pids,
+                          const std::vector<const ProfileData*>&,
+                          const std::vector<uint64_t>&) {
+    return std::vector<Status>(pids.size(), Status::OK());
+  };
+  if (options_.persist_writes && options_.enable_store_broker) {
+    table->store_broker = std::make_unique<StoreBroker>(
+        options_.store_broker,
         [persister](const std::vector<ProfileId>& pids,
                     const std::vector<const ProfileData*>& profiles) {
           return persister->StoreBatch(pids, profiles);
-        });
-    // The store broker stacks cross-SHARD coalescing on top: concurrent
-    // flush passes' groups merge into one StoreBatch round trip and a hot
-    // dirty pid re-flushed mid-store piggybacks on (or requeues behind) the
-    // write already on the wire. The instance owns the broker; the cache
-    // only borrows it. Like the flusher itself, it exists only where writes
-    // are persisted — a non-primary region has nothing to coalesce.
-    if (options_.enable_store_broker) {
-      table->store_broker = std::make_unique<StoreBroker>(
-          options_.store_broker,
-          [persister](const std::vector<ProfileId>& pids,
-                      const std::vector<const ProfileData*>& profiles) {
-            return persister->StoreBatch(pids, profiles);
-          },
-          clock_, metrics_);
-      table->cache->set_store_broker(table->store_broker.get());
-    }
-  } else {
-    table->cache->set_batch_flusher(
-        [](const std::vector<ProfileId>& pids,
-           const std::vector<const ProfileData*>&) {
-          return std::vector<Status>(pids.size(), Status::OK());
-        });
+        },
+        metrics_);
+    store = [broker = table->store_broker.get()](
+                const std::vector<ProfileId>& pids,
+                const std::vector<const ProfileData*>& profiles,
+                const std::vector<uint64_t>& epochs) {
+      return broker->Store(pids, profiles, epochs);
+    };
+  } else if (options_.persist_writes) {
+    store = [persister](const std::vector<ProfileId>& pids,
+                        const std::vector<const ProfileData*>& profiles,
+                        const std::vector<uint64_t>&) {
+      return persister->StoreBatch(pids, profiles);
+    };
   }
+  table->cache = std::make_unique<GCache>(cache_options, clock_,
+                                          std::move(store), std::move(load),
+                                          metrics_);
 
   // The compressed L2 victim tier sits between the cache and the persister:
   // eviction demotes written-back entries as the persister's compressed

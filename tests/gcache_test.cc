@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/load_broker.h"
+#include "cache_test_util.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 
@@ -24,7 +25,10 @@ constexpr int64_t kMinute = kMillisPerMinute;
 // A deterministic in-memory "persistent store" for the cache callbacks.
 class FakeStore {
  public:
-  FlushFn Flusher() {
+  BatchStoreFn Flusher() { return BatchedFlusher(PointFlusher()); }
+  BatchLoadFn Loader() { return BatchedLoader(PointLoader()); }
+
+  PointFlushFn PointFlusher() {
     return [this](ProfileId pid, const ProfileData& profile) {
       std::lock_guard<std::mutex> lock(mu_);
       ++flush_attempts_;
@@ -35,8 +39,8 @@ class FakeStore {
     };
   }
 
-  LoadFn Loader() {
-    return [this](ProfileId pid, bool* /*out_degraded*/) -> Result<ProfileData> {
+  PointLoadFn PointLoader() {
+    return [this](ProfileId pid, bool*) -> Result<ProfileData> {
       std::lock_guard<std::mutex> lock(mu_);
       ++load_count_;
       auto it = stored_.find(pid);
@@ -190,29 +194,34 @@ TEST(GCacheTest, WithProfilesCoalescesMissesIntoOneBatchLoad) {
     seeding.FlushAll();
   }
 
+  BatchLoadFn load = store.Loader();
   GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+               [&load](const std::vector<ProfileId>& pids,
+                       std::vector<bool>* out_degraded, TimestampMs deadline) {
+                 return load(pids, out_degraded, deadline);
+               });
+  // Warm pid 1 so the batch sees one hit, three misses, one unknown; the
+  // counting loader is swapped in afterwards so it sees only the batch.
+  ASSERT_TRUE(cache.WithProfile(1, [](const ProfileData&) {}).ok());
+
   std::atomic<int> batch_loads{0};
   std::vector<std::vector<ProfileId>> batches;
   std::mutex batches_mu;
-  LoadFn loader = store.Loader();
-  cache.set_batch_loader(
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
-        ++batch_loads;
-        {
-          std::lock_guard<std::mutex> lock(batches_mu);
-          batches.push_back(pids);
-        }
-        if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
-        std::vector<Result<ProfileData>> out;
-        out.reserve(pids.size());
-        for (ProfileId pid : pids) out.push_back(loader(pid, nullptr));
-        return out;
-      });
-
-  // Warm pid 1 so the batch sees one hit, three misses, one unknown.
-  ASSERT_TRUE(cache.WithProfile(1, [](const ProfileData&) {}).ok());
+  PointLoadFn loader = store.PointLoader();
+  load = [&](const std::vector<ProfileId>& pids,
+             std::vector<bool>* out_degraded,
+             TimestampMs) -> std::vector<Result<ProfileData>> {
+    ++batch_loads;
+    {
+      std::lock_guard<std::mutex> lock(batches_mu);
+      batches.push_back(pids);
+    }
+    if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
+    std::vector<Result<ProfileData>> out;
+    out.reserve(pids.size());
+    for (ProfileId pid : pids) out.push_back(loader(pid, nullptr));
+    return out;
+  };
 
   const std::vector<ProfileId> pids = {1, 2, 3, 99, 4};
   std::vector<ProfileId> seen;
@@ -259,13 +268,12 @@ TEST(GCacheTest, WithProfilesCoalescesDuplicatePids) {
         .ok();
     seeding.FlushAll();
   }
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
   std::vector<std::vector<ProfileId>> batches;
-  LoadFn loader = store.Loader();
-  cache.set_batch_loader(
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
+  PointLoadFn loader = store.PointLoader();
+  GCache cache(
+      ManualOptions(), SystemClock::Instance(), store.Flusher(),
+      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
+          TimestampMs) -> std::vector<Result<ProfileData>> {
         batches.push_back(pids);
         if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
         std::vector<Result<ProfileData>> out;
@@ -282,27 +290,6 @@ TEST(GCacheTest, WithProfilesCoalescesDuplicatePids) {
   EXPECT_EQ(batches[0], (std::vector<ProfileId>{7}));
   EXPECT_EQ(callbacks, 3);
   for (const auto& status : statuses) EXPECT_TRUE(status.ok());
-}
-
-TEST(GCacheTest, WithProfilesFallsBackToPerPidLoader) {
-  FakeStore store;
-  {
-    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                   store.Loader());
-    seeding.WithProfileMutable(3, [](ProfileData&) {}).ok();
-    seeding.FlushAll();
-  }
-  // No batch loader installed: the per-pid loader serves each miss.
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
-  std::vector<Status> statuses;
-  int callbacks = 0;
-  const size_t hits = cache.WithProfiles(
-      {3, 404}, [&](size_t, const ProfileData&) { ++callbacks; }, &statuses);
-  EXPECT_EQ(hits, 0u);
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_TRUE(statuses[1].IsNotFound());
 }
 
 TEST(GCacheTest, MemoryUsageRatioZeroLimitIsZeroNotNan) {
@@ -564,13 +551,14 @@ TEST(GCacheTest, LoaderFailurePropagatesWithoutCachingGarbage) {
   int fail_loads = 0;
   GCache cache(
       ManualOptions(), SystemClock::Instance(), store.Flusher(),
-      [&](ProfileId pid, bool* out_degraded) -> Result<ProfileData> {
+      BatchedLoader([&](ProfileId pid, bool* out_degraded)
+                        -> Result<ProfileData> {
         if (fail_loads > 0) {
           --fail_loads;
           return Status::Unavailable("storage flaking");
         }
-        return store.Loader()(pid, out_degraded);
-      });
+        return store.PointLoader()(pid, out_degraded);
+      }));
   // Populate the store via a throwaway cache write + flush, then start
   // injecting load failures.
   cache.WithProfileMutable(5, [](ProfileData& p) {
@@ -607,6 +595,7 @@ TEST(GCacheTest, FlushPassStopsAtFailureCapAndRequeuesRemainder) {
   options.dirty_shards = 1;
   options.flush_threads = 1;
   options.max_flush_failures_per_pass = 3;
+  options.flush_batch_max = 1;  // one entry per store round trip
   GCache cache(options, SystemClock::Instance(), store.Flusher(),
                store.Loader(), &metrics);
   for (ProfileId pid = 1; pid <= 10; ++pid) {
@@ -648,13 +637,14 @@ TEST(GCacheTest, DegradedLoadFlagsReadsUntilCleanFlush) {
   }
   // Loader that simulates a fallback-replica read while degrade is set.
   bool degrade = true;
-  LoadFn loader = store.Loader();
+  PointLoadFn loader = store.PointLoader();
   GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               [&](ProfileId pid, bool* out_degraded) -> Result<ProfileData> {
+               BatchedLoader([&](ProfileId pid, bool* out_degraded)
+                                 -> Result<ProfileData> {
                  auto result = loader(pid, out_degraded);
                  if (degrade && out_degraded != nullptr) *out_degraded = true;
                  return result;
-               });
+               }));
   bool hit = true;
   bool degraded = false;
   ASSERT_TRUE(
@@ -692,26 +682,27 @@ TEST(GCacheTest, BatchedFlushDrainsShardInGroups) {
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 1;
   options.flush_batch_max = 4;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
   std::atomic<int> batch_calls{0};
   std::vector<size_t> group_sizes;
   std::mutex groups_mu;
-  cache.set_batch_flusher(
+  GCache cache(
+      options, SystemClock::Instance(),
       [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
+          const std::vector<const ProfileData*>& profiles,
+          const std::vector<uint64_t>&) {
         ++batch_calls;
         {
           std::lock_guard<std::mutex> lock(groups_mu);
           group_sizes.push_back(pids.size());
         }
-        FlushFn flusher = store.Flusher();
+        PointFlushFn flusher = store.PointFlusher();
         std::vector<Status> statuses;
         for (size_t i = 0; i < pids.size(); ++i) {
           statuses.push_back(flusher(pids[i], *profiles[i]));
         }
         return statuses;
-      });
+      },
+      store.Loader(), &metrics);
   for (ProfileId pid = 1; pid <= 10; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -743,25 +734,26 @@ TEST(GCacheTest, BatchedFlushOutageBoundsFailuresAndRequeues) {
   options.dirty_shards = 1;
   options.flush_batch_max = 4;
   options.max_flush_failures_per_pass = 3;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
   std::atomic<bool> kv_down{true};
   std::atomic<int> batch_calls{0};
-  cache.set_batch_flusher(
+  GCache cache(
+      options, SystemClock::Instance(),
       [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
+          const std::vector<const ProfileData*>& profiles,
+          const std::vector<uint64_t>&) {
         ++batch_calls;
         if (kv_down.load()) {
           return std::vector<Status>(pids.size(),
                                      Status::Unavailable("kv outage"));
         }
-        FlushFn flusher = store.Flusher();
+        PointFlushFn flusher = store.PointFlusher();
         std::vector<Status> statuses;
         for (size_t i = 0; i < pids.size(); ++i) {
           statuses.push_back(flusher(pids[i], *profiles[i]));
         }
         return statuses;
-      });
+      },
+      store.Loader(), &metrics);
   for (ProfileId pid = 1; pid <= 12; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -831,9 +823,7 @@ TEST(GCacheTest, LoadBrokerSharesMissAndFansDegradedToEveryReader) {
     seeding.FlushAll();
   }
   MetricsRegistry metrics;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
-  LoadFn loader = store.Loader();
+  PointLoadFn loader = store.PointLoader();
   std::atomic<int> fetch_calls{0};
   std::mutex gate_mu;
   std::condition_variable gate_cv;
@@ -858,7 +848,13 @@ TEST(GCacheTest, LoadBrokerSharesMissAndFansDegradedToEveryReader) {
         return out;
       },
       SystemClock::Instance(), &metrics);
-  cache.set_load_broker(&broker);
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
+               [&broker](const std::vector<ProfileId>& pids,
+                         std::vector<bool>* out_degraded,
+                         TimestampMs deadline_ms) {
+                 return broker.Load(pids, out_degraded, deadline_ms);
+               },
+               &metrics);
 
   const int loads_before = store.load_count();
   Status status_a, status_b;
@@ -908,24 +904,25 @@ TEST(GCacheTest, FlushStoreRoundTripRunsOutsideEntryLocks) {
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 1;
   options.flush_batch_max = 8;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
-  cache.set_batch_flusher(
+  GCache cache(
+      options, SystemClock::Instance(),
       [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
+          const std::vector<const ProfileData*>& profiles,
+          const std::vector<uint64_t>&) {
         for (ProfileId pid : pids) {
           bool hit = false;
           EXPECT_TRUE(
               cache.WithProfile(pid, [](const ProfileData&) {}, &hit).ok());
           EXPECT_TRUE(hit);
         }
-        FlushFn flusher = store.Flusher();
+        PointFlushFn flusher = store.PointFlusher();
         std::vector<Status> statuses;
         for (size_t i = 0; i < pids.size(); ++i) {
           statuses.push_back(flusher(pids[i], *profiles[i]));
         }
         return statuses;
-      });
+      },
+      store.Loader());
   for (ProfileId pid = 1; pid <= 4; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -948,12 +945,12 @@ TEST(GCacheTest, WriteDuringFlushRoundTripRequeuesInsteadOfLosingIt) {
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 1;
   options.flush_batch_max = 4;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
   std::atomic<bool> mutate_during_flush{true};
-  cache.set_batch_flusher(
+  GCache cache(
+      options, SystemClock::Instance(),
       [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
+          const std::vector<const ProfileData*>& profiles,
+          const std::vector<uint64_t>&) {
         if (mutate_during_flush.exchange(false)) {
           EXPECT_TRUE(cache
                           .WithProfileMutable(
@@ -965,13 +962,14 @@ TEST(GCacheTest, WriteDuringFlushRoundTripRequeuesInsteadOfLosingIt) {
                               })
                           .ok());
         }
-        FlushFn flusher = store.Flusher();
+        PointFlushFn flusher = store.PointFlusher();
         std::vector<Status> statuses;
         for (size_t i = 0; i < pids.size(); ++i) {
           statuses.push_back(flusher(pids[i], *profiles[i]));
         }
         return statuses;
-      });
+      },
+      store.Loader());
   cache
       .WithProfileMutable(1,
                           [](ProfileData& profile) {
@@ -1000,20 +998,21 @@ TEST(GCacheTest, EvictionWriteBackDoesNotBlockConcurrentReaders) {
   bool eviction_flush_started = false;
   bool release_flush = false;
   constexpr ProfileId kCold = 1;
-  FlushFn blocking_flusher = [&](ProfileId pid, const ProfileData& profile) {
+  PointFlushFn blocking_flusher = [&](ProfileId pid,
+                                      const ProfileData& profile) {
     if (pid == kCold) {
       std::unique_lock<std::mutex> lock(gate_mu);
       eviction_flush_started = true;
       gate_cv.notify_all();
       gate_cv.wait(lock, [&] { return release_flush; });
     }
-    return store.Flusher()(pid, profile);
+    return store.PointFlusher()(pid, profile);
   };
   GCacheOptions options = ManualOptions();
   options.lru_shards = 1;  // one shard: any held lock would block everyone
   options.memory_limit_bytes = 4 << 10;
-  GCache cache(options, SystemClock::Instance(), blocking_flusher,
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(),
+               BatchedFlusher(blocking_flusher), store.Loader());
   // Cold dirty giant at the LRU tail...
   cache
       .WithProfileMutable(kCold,
@@ -1092,7 +1091,7 @@ TEST(GCacheTest, InvalidateDoesNotDropWriteRacingItsFlush) {
   bool flush_started = false;
   bool writer_started = false;
   std::atomic<int> flushes_of_7{0};
-  FlushFn gated_flusher = [&](ProfileId pid, const ProfileData& profile) {
+  PointFlushFn gated_flusher = [&](ProfileId pid, const ProfileData& profile) {
     if (pid == 7 && flushes_of_7.fetch_add(1) == 0) {
       // First flush (Invalidate's): stall until the racing writer is
       // en route to the entry lock, then a beat longer so it is parked ON
@@ -1104,10 +1103,10 @@ TEST(GCacheTest, InvalidateDoesNotDropWriteRacingItsFlush) {
       lock.unlock();
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    return store.Flusher()(pid, profile);
+    return store.PointFlusher()(pid, profile);
   };
-  GCache cache(ManualOptions(), SystemClock::Instance(), gated_flusher,
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(),
+               BatchedFlusher(gated_flusher), store.Loader());
   cache
       .WithProfileMutable(7,
                           [](ProfileData& profile) {

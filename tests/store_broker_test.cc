@@ -98,8 +98,7 @@ TEST(StoreBrokerTest, SameEpochReflushPiggybacksOnInFlightWrite) {
   StoreGate gate;
   StoreBrokerOptions options;
   options.window_micros = 0;  // single-flight only
-  StoreBroker broker(options, CountingStore(&rec, &gate),
-                     SystemClock::Instance(), &metrics);
+  StoreBroker broker(options, CountingStore(&rec, &gate), &metrics);
 
   const ProfileData snapshot = MakeProfile(1);
   std::optional<std::vector<Status>> leader_results, follower_results;
@@ -137,8 +136,7 @@ TEST(StoreBrokerTest, NewerEpochRequeuesBehindInFlightWrite) {
   StoreGate gate;
   StoreBrokerOptions options;
   options.window_micros = 0;
-  StoreBroker broker(options, CountingStore(&rec, &gate),
-                     SystemClock::Instance(), &metrics);
+  StoreBroker broker(options, CountingStore(&rec, &gate), &metrics);
 
   const ProfileData old_snapshot = MakeProfile(1);
   const ProfileData new_snapshot = MakeProfile(2);
@@ -186,8 +184,7 @@ TEST(StoreBrokerTest, PendingWindowMergeCarriesNewestSnapshot) {
   StoreBrokerOptions options;
   options.window_micros = 10'000'000;  // 10s: only early close can pass
   options.max_batch_pids = 2;
-  StoreBroker broker(options, CountingStore(&rec),
-                     SystemClock::Instance(), &metrics);
+  StoreBroker broker(options, CountingStore(&rec), &metrics);
 
   const ProfileData v1 = MakeProfile(1);
   const ProfileData v2 = MakeProfile(2);
@@ -237,8 +234,7 @@ TEST(StoreBrokerTest, CrossShardGroupsMergeAndCloseEarly) {
   StoreBrokerOptions options;
   options.window_micros = 10'000'000;
   options.max_batch_pids = 3;
-  StoreBroker broker(options, CountingStore(&rec),
-                     SystemClock::Instance(), &metrics);
+  StoreBroker broker(options, CountingStore(&rec), &metrics);
 
   const ProfileData p1 = MakeProfile(1);
   const ProfileData p2 = MakeProfile(2);
@@ -293,7 +289,7 @@ TEST(StoreBrokerTest, PartialStoreFailureFansBackPerPid) {
         }
         return statuses;
       },
-      SystemClock::Instance(), &metrics);
+      &metrics);
 
   const ProfileData p1 = MakeProfile(1);
   const ProfileData p2 = MakeProfile(2);
@@ -323,8 +319,7 @@ TEST(StoreBrokerTest, OversizedPendingSetSplitsIntoChunkedStores) {
   StoreBrokerOptions options;
   options.window_micros = 0;
   options.max_batch_pids = 2;
-  StoreBroker broker(options, CountingStore(&rec),
-                     SystemClock::Instance(), &metrics);
+  StoreBroker broker(options, CountingStore(&rec), &metrics);
 
   std::vector<ProfileData> owned;
   std::vector<ProfileId> pids;
@@ -367,7 +362,7 @@ TEST(StoreBrokerTest, ShortStoreResultListFailsSubmittersNotCrash) {
          const std::vector<const ProfileData*>&) {
         return std::vector<Status>{};  // misbehaving store: short list
       },
-      SystemClock::Instance(), &metrics);
+      &metrics);
   const ProfileData snapshot = MakeProfile(3);
   std::vector<Status> results = broker.Store({3}, {&snapshot}, {1});
   ASSERT_EQ(results.size(), 1u);
@@ -386,7 +381,7 @@ TEST(StoreBrokerTest, MismatchedInputsRejectedUpFront) {
         calls.fetch_add(1);
         return std::vector<Status>(pids.size(), Status::OK());
       },
-      SystemClock::Instance(), &metrics);
+      &metrics);
   const ProfileData snapshot = MakeProfile(1);
   std::vector<Status> results = broker.Store({1, 2}, {&snapshot}, {1, 1});
   ASSERT_EQ(results.size(), 2u);
@@ -412,7 +407,7 @@ TEST(StoreBrokerTest, ConcurrentStormResolvesEveryPidAndDrainsClean) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
         return std::vector<Status>(pids.size(), Status::OK());
       },
-      SystemClock::Instance(), &metrics);
+      &metrics);
 
   constexpr int kThreads = 8;
   constexpr int kIters = 40;
@@ -471,10 +466,9 @@ TEST(StoreBrokerTest, EvictionWriteBackRoutesThroughBrokerWhenInstalled) {
   StoreRecorder rec;
   StoreBrokerOptions broker_options;
   broker_options.window_micros = 0;
-  StoreBroker broker(broker_options, CountingStore(&rec),
-                     SystemClock::Instance(), &metrics);
+  StoreBroker broker(broker_options, CountingStore(&rec), &metrics);
 
-  auto make_cache = [](std::atomic<int>* direct_flushes) {
+  auto make_cache = [](BatchStoreFn store) {
     GCacheOptions options;
     options.start_background_threads = false;
     options.lru_shards = 1;
@@ -482,13 +476,11 @@ TEST(StoreBrokerTest, EvictionWriteBackRoutesThroughBrokerWhenInstalled) {
     options.memory_limit_bytes = 4 << 10;
     options.write_granularity_ms = kMinute;
     return std::make_unique<GCache>(
-        options, SystemClock::Instance(),
-        [direct_flushes](ProfileId, const ProfileData&) {
-          direct_flushes->fetch_add(1);
-          return Status::OK();
-        },
-        [](ProfileId, bool*) -> Result<ProfileData> {
-          return Status::NotFound("cold");
+        options, SystemClock::Instance(), std::move(store),
+        [](const std::vector<ProfileId>& pids, std::vector<bool>*,
+           TimestampMs) {
+          return std::vector<Result<ProfileData>>(
+              pids.size(), Result<ProfileData>(Status::NotFound("cold")));
         });
   };
   auto fill = [](GCache& cache) {
@@ -508,16 +500,16 @@ TEST(StoreBrokerTest, EvictionWriteBackRoutesThroughBrokerWhenInstalled) {
     }
   };
 
+  // The cache has exactly one store callable, so there is no per-pid path
+  // left to bypass the broker; the counter stays as a regression guard.
   std::atomic<int> direct_flushes{0};
   std::atomic<int> batch_flushes{0};
-  std::unique_ptr<GCache> cache = make_cache(&direct_flushes);
-  cache->set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>&) {
-        batch_flushes.fetch_add(1);
-        return std::vector<Status>(pids.size(), Status::OK());
+  std::unique_ptr<GCache> cache =
+      make_cache([&broker](const std::vector<ProfileId>& pids,
+                           const std::vector<const ProfileData*>& profiles,
+                           const std::vector<uint64_t>& epochs) {
+        return broker.Store(pids, profiles, epochs);
       });
-  cache->set_store_broker(&broker);
   fill(*cache);
   ASSERT_GT(cache->MemoryBytes(), cache->options().memory_limit_bytes);
   ASSERT_GT(cache->SwapOnce(), 0u);
@@ -547,10 +539,10 @@ TEST(StoreBrokerTest, EvictionWriteBackRoutesThroughBrokerWhenInstalled) {
   const int broker_calls_before = rec.calls.load();
   std::atomic<int> ablated_direct{0};
   std::atomic<int> ablated_batch{0};
-  std::unique_ptr<GCache> ablated = make_cache(&ablated_direct);
-  ablated->set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>&) {
+  std::unique_ptr<GCache> ablated =
+      make_cache([&](const std::vector<ProfileId>& pids,
+                     const std::vector<const ProfileData*>&,
+                     const std::vector<uint64_t>&) {
         ablated_batch.fetch_add(1);
         return std::vector<Status>(pids.size(), Status::OK());
       });

@@ -14,6 +14,7 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "core/profile_data.h"
+#include "cache_test_util.h"
 
 namespace ips {
 namespace {
@@ -195,11 +196,12 @@ TEST(VictimCacheTest, EvictionDemotesAndMissPromotesWithoutStoreLoad) {
   std::atomic<int> store_loads{0};
   GCache cache(
       TieredCacheOptions(), SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [&](ProfileId, bool*) -> Result<ProfileData> {
+      BatchedFlusher(
+          [](ProfileId, const ProfileData&) { return Status::OK(); }),
+      BatchedLoader([&](ProfileId, bool*) -> Result<ProfileData> {
         store_loads.fetch_add(1, std::memory_order_relaxed);
         return Status::NotFound("not persisted");
-      });
+      }));
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 2;
   l2_options.sketch_aging_window = 0;
@@ -268,11 +270,12 @@ TEST(VictimCacheTest, DegradedFlagSurvivesDemoteAndPromote) {
   GCacheOptions options = TieredCacheOptions();
   GCache cache(
       options, SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [&](ProfileId, bool* out_degraded) -> Result<ProfileData> {
+      BatchedFlusher(
+          [](ProfileId, const ProfileData&) { return Status::OK(); }),
+      BatchedLoader([&](ProfileId, bool* out_degraded) -> Result<ProfileData> {
         *out_degraded = true;
         return seeded;
-      });
+      }));
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 1;
   VictimCache l2(l2_options);
@@ -299,10 +302,11 @@ TEST(VictimCacheTest, DegradedFlagSurvivesDemoteAndPromote) {
 TEST(VictimCacheTest, InvalidateErasesBothTiers) {
   GCache cache(
       TieredCacheOptions(), SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [](ProfileId, bool*) -> Result<ProfileData> {
+      BatchedFlusher(
+          [](ProfileId, const ProfileData&) { return Status::OK(); }),
+      BatchedLoader([](ProfileId, bool*) -> Result<ProfileData> {
         return Status::NotFound("no");
-      });
+      }));
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 0;
   VictimCache l2(l2_options);
@@ -320,11 +324,12 @@ TEST(VictimCacheTest, CorruptDemotedBytesFallThroughToLoader) {
   std::atomic<int> store_loads{0};
   GCache cache(
       TieredCacheOptions(), SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [&](ProfileId, bool*) -> Result<ProfileData> {
+      BatchedFlusher(
+          [](ProfileId, const ProfileData&) { return Status::OK(); }),
+      BatchedLoader([&](ProfileId, bool*) -> Result<ProfileData> {
         store_loads.fetch_add(1, std::memory_order_relaxed);
         return seeded;
-      });
+      }));
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 0;
   VictimCache l2(l2_options);
