@@ -85,10 +85,6 @@ void Run() {
   IpsClient client(client_options, &deployment);
 
   MetricsRegistry* metrics = deployment.metrics();
-  Histogram* server_hit = metrics->GetHistogram("server.query_micros_hit");
-  Histogram* server_miss = metrics->GetHistogram("server.query_micros_miss");
-  server_hit->Reset();
-  server_miss->Reset();
 
   // Trace every query: the decomposition below is computed from the spans,
   // and the collector doubles as slow-query log + stage histogram feed.
@@ -117,6 +113,9 @@ void Run() {
         metrics->GetCounter("cache.hit")->Value() > hits_before;
     (was_hit ? split.client_hit : split.client_miss).Record(micros);
     if (trace != nullptr) {
+      // Server side: the instance's whole server.query span.
+      (was_hit ? split.server_hit : split.server_miss)
+          .Record(trace->StageNs("server.query") / 1000);
       StageSplit& traced = was_hit ? traced_hit : traced_miss;
       int64_t sum_us = 0;
       for (size_t s = 0; s < num_stages; ++s) {
@@ -132,15 +131,15 @@ void Run() {
   bench::PrintHeader({"side/path", "count", "avg_ms", "p50_ms", "p99_ms"});
   PrintRow("client/hit", split.client_hit);
   PrintRow("client/miss", split.client_miss);
-  PrintRow("server/hit", *server_hit);
-  PrintRow("server/miss", *server_miss);
+  PrintRow("server/hit", split.server_hit);
+  PrintRow("server/miss", split.server_miss);
 
   const double hit_saving_ms =
       bench::UsToMs(split.client_miss.Percentile(0.50) -
                     split.client_hit.Percentile(0.50));
   const double network_ms =
       bench::UsToMs(split.client_hit.Percentile(0.50) -
-                    server_hit->Percentile(0.50));
+                    split.server_hit.Percentile(0.50));
   std::printf(
       "\nshape checks vs paper:\n"
       "  p50 saving from a cache hit: %.2f ms (paper: 2-4 ms)\n"
@@ -148,7 +147,7 @@ void Run() {
       "(paper: ~3 ms)\n"
       "  server-side hit p50: %.2f ms (paper: sub-ms compute)\n",
       hit_saving_ms, network_ms,
-      bench::UsToMs(server_hit->Percentile(0.50)));
+      bench::UsToMs(split.server_hit.Percentile(0.50)));
 
   // ---- Traced per-stage decomposition (Table II, from spans) ----
   std::printf("\n=== traced stage decomposition (avg ms/query) ===\n");
@@ -204,8 +203,8 @@ void Run() {
                  kQueries, kSumTolerance);
     std::fprintf(f,
                  "  \"server_us\": {\"hit_p50\": %lld, \"miss_p50\": %lld},\n",
-                 static_cast<long long>(server_hit->Percentile(0.50)),
-                 static_cast<long long>(server_miss->Percentile(0.50)));
+                 static_cast<long long>(split.server_hit.Percentile(0.50)),
+                 static_cast<long long>(split.server_miss.Percentile(0.50)));
     const struct {
       const char* label;
       Histogram* e2e;
@@ -248,7 +247,7 @@ void Run() {
                  "\"network_overhead_p50_ms\": %.2f, "
                  "\"server_hit_p50_ms\": %.2f}\n}\n",
                  hit_saving_ms, network_ms,
-                 bench::UsToMs(server_hit->Percentile(0.50)));
+                 bench::UsToMs(split.server_hit.Percentile(0.50)));
     std::fclose(f);
     std::printf("wrote BENCH_table2_latency.json\n");
   }

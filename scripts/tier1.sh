@@ -65,14 +65,16 @@ run_suite() {
   fi
   if [[ "${sanitize}" == "thread" ]]; then
     # The drain-concurrency storm (concurrent MaybeTrigger + Drain +
-    # SetEnabled flips over the sharded pool) and the coalescer's leader/
+    # SetEnabled flips over the sharded pool), the coalescer's leader/
     # follower hand-offs (randomized coalescer history, both brokers, the
-    # cache's unlocked write-backs) are the tests TSan exists for; ctest runs
-    # them with the rest of the suite, but an explicit pass keeps the race
-    # gates visible in the tier-1 log.
-    echo "=== tier1: TSan drain storm + coalescer races ==="
+    # cache's unlocked write-backs) and the client's scatter round (one
+    # owner group inline, the others on workers writing disjoint item
+    # slots) are the tests TSan exists for; ctest runs them with the rest of
+    # the suite, but an explicit pass keeps the race gates visible in the
+    # tier-1 log.
+    echo "=== tier1: TSan drain storm + coalescer + scatter-round races ==="
     (cd "${build_dir}" && ctest --output-on-failure \
-      -R '^(compaction_test|coalescer_test|load_broker_test|store_broker_test|gcache_test)$')
+      -R '^(compaction_test|coalescer_test|load_broker_test|store_broker_test|gcache_test|cluster_test|fault_tolerance_test)$')
   fi
 }
 

@@ -737,11 +737,13 @@ std::vector<Status> GCache::StoreSnapshots(
 }
 
 size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
-  // Grab the current batch; new dirties accumulate behind it.
+  // Grab the current batch; new dirties accumulate behind it. Until the
+  // pass ends the batch is only here, so the pass counts as in flight.
   std::list<ProfileId> batch;
   {
     std::lock_guard<std::mutex> lock(dshard.mu);
     batch.swap(dshard.dirty);
+    ++dshard.passes;
   }
   const size_t group_max = std::max<size_t>(1, options_.flush_batch_max);
   size_t flushed = 0;
@@ -821,10 +823,14 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
       }
     }
   }
-  if (!requeue.empty()) {
+  {
+    // Requeue and end the pass in one step, so a FlushAll that sees no pass
+    // in flight also sees everything the pass put back.
     std::lock_guard<std::mutex> lock(dshard.mu);
     dshard.dirty.splice(dshard.dirty.end(), requeue);
+    --dshard.passes;
   }
+  dshard.idle.notify_all();
   if (out_failures != nullptr) *out_failures = failures;
   return flushed;
 }
@@ -850,7 +856,9 @@ void GCache::FlushAll() {
       flushed += FlushShard(*shard, &shard_failures);
       failures += shard_failures;
     }
-    if (flushed == 0 && failures == 0 && DirtyCount() == 0) return;
+    // Done only once no other pass (a background flusher) still holds a
+    // batch it swapped out before this call.
+    if (flushed == 0 && failures == 0 && DirtyCountAfterPasses() == 0) return;
     if (flushed > 0) {
       backoff_ms = 0;
       stuck_rounds = 0;
@@ -937,6 +945,16 @@ size_t GCache::EntryCount() const {
   for (const auto& shard : lru_shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     total += shard->map.size();
+  }
+  return total;
+}
+
+size_t GCache::DirtyCountAfterPasses() {
+  size_t total = 0;
+  for (auto& shard : dirty_shards_) {
+    std::unique_lock<std::mutex> lock(shard->mu);
+    shard->idle.wait(lock, [&] { return shard->passes == 0; });
+    total += shard->dirty.size();
   }
   return total;
 }

@@ -200,7 +200,10 @@ class GCache {
   /// Flushes every dirty entry in every shard; returns entries flushed.
   size_t FlushOnce();
 
-  /// Flush + wait until the dirty lists are empty (shutdown, tests).
+  /// Flush + wait until the dirty lists are empty and no concurrent flush
+  /// pass still holds a batch it took off them — on return every entry
+  /// dirtied before the call has reached the store (shutdown, controlled
+  /// failover, tests), unless the store kept failing.
   void FlushAll();
 
   /// Drops a clean entry from the cache (failover handover). Dirty entries
@@ -286,6 +289,11 @@ class GCache {
   struct DirtyShard {
     mutable std::mutex mu;
     std::list<ProfileId> dirty;
+    /// FlushShard passes in flight on this shard: the batch a pass took off
+    /// `dirty` is in neither the list nor the store until the pass ends.
+    /// `idle` is notified when a pass ends.
+    size_t passes = 0;
+    std::condition_variable idle;
   };
 
   size_t LruIndex(ProfileId pid) const;
@@ -369,6 +377,10 @@ class GCache {
   /// max_flush_failures_per_pass failed flushes (requeueing the untried
   /// remainder); `out_failures`, when non-null, reports the failure count.
   size_t FlushShard(DirtyShard& shard, size_t* out_failures = nullptr);
+
+  /// Waits until no FlushShard pass is in flight on any shard, then returns
+  /// the number of queued dirty entries.
+  size_t DirtyCountAfterPasses();
 
   void SwapLoop();
   void FlushLoop(size_t thread_index);

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <optional>
 #include <thread>
-#include <unordered_set>
+#include <utility>
 
 #include "common/trace.h"
 
@@ -167,361 +168,300 @@ bool IpsClient::HasTableAnywhere(const std::string& table) {
   return false;
 }
 
+namespace {
+
+/// Where an item of a request stands in the region being scattered to.
+enum class ItemState : char {
+  kOpen,      // still walking its ring candidates
+  kAccepted,  // the region served / applied it
+  kGivenUp,   // shed past its re-offers, or quota-rejected: no more attempts
+};
+
+}  // namespace
+
+enum class IpsClient::RoundEnd {
+  kExhausted,  // every item accepted, given up or out of candidates
+  kStopped,    // quota rejection, or the retry policy refused an attempt
+  kDeadline,   // the caller's deadline expired
+};
+
+struct IpsClient::Scatter {
+  /// Built right after the root span opens: the calls carry the root as
+  /// their trace parent, and the client-side work around them reports as
+  /// rpc.dispatch.
+  Scatter(const CallContext& caller_ctx, int attempts)
+      : ctx(caller_ctx), call_ctx(caller_ctx), max_attempts(attempts) {
+    call_ctx.trace = CurrentTrace();
+    dispatch.emplace("rpc.dispatch");
+  }
+
+  /// Opens every item for a round whose first attempt is not a retry.
+  void Open() {
+    statuses.assign(pids.size(), Status::Unavailable("no live instance"));
+    states.assign(pids.size(), ItemState::kOpen);
+    retry_next = false;
+  }
+
+  const CallContext& ctx;  // the caller's deadline
+  CallContext call_ctx;
+  int max_attempts;
+  std::vector<ProfileId> pids;   // one per item
+  std::vector<Status> statuses;  // per item: the last outcome
+  std::vector<ItemState> states;
+  bool retry_next = false;  // the next attempt needs a retry grant
+  /// Wire size of one owner group's request and response.
+  std::function<std::pair<size_t, size_t>(const std::vector<size_t>&)>
+      wire_bytes;
+  /// Sends one owner group (item indices) to `instance` as one batch call
+  /// and fills the per-item statuses aligned with the group; a non-OK
+  /// return fails the whole group.
+  std::function<Status(IpsInstance&, const std::vector<size_t>&,
+                       std::vector<Status>*)>
+      send;
+  /// Client-side dispatch work — discovery refresh, routing, retry policy,
+  /// outcome bookkeeping. Suspended around the calls so it never overlaps
+  /// rpc.transfer or any server-side stage.
+  std::optional<ScopedSpan> dispatch;
+};
+
+IpsClient::RoundEnd IpsClient::ScatterRound(const std::string& region,
+                                            Scatter& s) {
+  const size_t n = s.pids.size();
+  // Ring candidates per open item, computed once per region. `next` is the
+  // candidate an item goes to in the coming attempt; `reoffers` bounds how
+  // often a shed item goes back to the same node.
+  std::vector<std::vector<std::string>> candidates(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (s.states[i] == ItemState::kOpen) {
+      candidates[i] = ReadCandidates(s.pids[i], region, s.max_attempts);
+    }
+  }
+  std::vector<size_t> next(n, 0);
+  std::vector<int> reoffers(n, s.max_attempts);
+
+  for (;;) {
+    // Group the open items by this attempt's ring owner. std::map keeps the
+    // scatter order deterministic.
+    std::map<std::string, std::vector<size_t>> by_node;
+    for (size_t i = 0; i < n; ++i) {
+      if (s.states[i] == ItemState::kOpen && next[i] < candidates[i].size()) {
+        by_node[candidates[i][next[i]]].push_back(i);
+      }
+    }
+    if (by_node.empty()) return RoundEnd::kExhausted;
+
+    if (s.ctx.Expired(deployment_->clock()->NowMs())) {
+      metrics_->GetCounter("client.deadline_exceeded")->Increment();
+      for (size_t i = 0; i < n; ++i) {
+        if (s.states[i] != ItemState::kAccepted) {
+          s.statuses[i] = Status::DeadlineExceeded("client deadline expired");
+        }
+      }
+      return RoundEnd::kDeadline;
+    }
+    // Attempts after the first need a grant from the retry policy; an open
+    // item's last outcome is the representative error.
+    if (s.retry_next && retry_policy_.enabled() &&
+        !PrepareRetry(s.statuses[by_node.begin()->second.front()], s.ctx)) {
+      return RoundEnd::kStopped;
+    }
+    s.retry_next = true;
+
+    // One call per owner group. Each group writes only its own items'
+    // entries, so the groups need no lock between them.
+    std::atomic<bool> saw_quota{false};
+    auto call_group = [&](const std::string& node_id,
+                          const std::vector<size_t>& group, bool inline_call) {
+      IpsNode* node = deployment_->FindNode(node_id);
+      if (node == nullptr) {
+        for (size_t i : group) ++next[i];
+        return;
+      }
+      const auto [request_bytes, response_bytes] = s.wire_bytes(group);
+      std::vector<Status> item_statuses;
+      if (inline_call) s.dispatch.reset();
+      const Status call = node->Call(
+          s.call_ctx, request_bytes, response_bytes,
+          [&](IpsInstance& instance) {
+            return s.send(instance, group, &item_statuses);
+          });
+      if (inline_call) s.dispatch.emplace("rpc.dispatch");
+      RecordOutcome(node_id, call);
+      for (size_t j = 0; j < group.size(); ++j) {
+        const size_t i = group[j];
+        // A group-level failure (node down, quota, unknown table) is every
+        // item's outcome.
+        s.statuses[i] = call.ok() ? item_statuses[j] : call;
+        const Status& status = s.statuses[i];
+        if (status.ok()) {
+          s.states[i] = ItemState::kAccepted;
+        } else if (!status.IsThrottled()) {
+          ++next[i];  // the ring successor takes over
+        } else if (!status.has_retry_after()) {
+          // A hint-less quota rejection is a server decision, not a node
+          // fault: successors enforce the same per-caller budget.
+          s.states[i] = ItemState::kGivenUp;
+          saw_quota.store(true, std::memory_order_relaxed);
+        } else if (reoffers[i] == 0) {
+          s.states[i] = ItemState::kGivenUp;
+        } else {
+          // A load-shed with a retry-after hint means "come back to ME":
+          // the item stays on this node, and the next attempt's
+          // PrepareRetry waits out the hint without burning budget. Sending
+          // it to the successor instead would split the profile across two
+          // write-back caches.
+          --reoffers[i];
+        }
+      }
+    };
+    // The first group runs on this thread, so a batch of one starts no
+    // thread; the others run on workers.
+    std::vector<std::thread> workers;
+    workers.reserve(by_node.size() - 1);
+    for (auto it = std::next(by_node.begin()); it != by_node.end(); ++it) {
+      workers.emplace_back(call_group, std::cref(it->first),
+                           std::cref(it->second), /*inline_call=*/false);
+    }
+    call_group(by_node.begin()->first, by_node.begin()->second,
+               /*inline_call=*/true);
+    if (!workers.empty()) {
+      s.dispatch.reset();
+      for (auto& worker : workers) worker.join();
+      s.dispatch.emplace("rpc.dispatch");
+    }
+    if (saw_quota.load(std::memory_order_relaxed)) return RoundEnd::kStopped;
+  }
+}
+
 Status IpsClient::AddProfilesAs(const std::string& caller,
                                 const std::string& table, ProfileId pid,
                                 const std::vector<AddRecord>& records,
                                 const CallContext& ctx, WriteAck* out_ack) {
-  MaybeRefresh();
   metrics_->GetCounter("client.write_requests")->Increment();
-  retry_policy_.OnRequestStart();
-
-  // The transport cost model is size-proportional: charge the encoded size
-  // of the record batch, not a fixed per-request constant.
-  const size_t request_bytes = EstimateAddPayloadBytes(records);
-
-  // Multi-region writing: every region gets the record on its owning node.
-  // The retry policy gates *successor* attempts within a region; the region
-  // fan-out itself is the write contract, not a retry.
-  size_t regions_ok = 0;
-  bool deadline_hit = false;
-  Status last_error = Status::Unavailable("no live instance");
-  for (const auto& region : deployment_->region_names()) {
-    if (deadline_hit) break;
-    Status region_status = Status::Unavailable("no live instance");
-    const auto candidates =
-        ReadCandidates(pid, region, options_.max_write_attempts);
-    bool first_in_region = true;
-    for (const auto& node_id : candidates) {
-      IpsNode* node = deployment_->FindNode(node_id);
-      if (node == nullptr) continue;
-      if (ctx.Expired(deployment_->clock()->NowMs())) {
-        metrics_->GetCounter("client.deadline_exceeded")->Increment();
-        region_status = Status::DeadlineExceeded("client deadline expired");
-        deadline_hit = true;
-        break;
-      }
-      if (!first_in_region && retry_policy_.enabled() &&
-          !PrepareRetry(region_status, ctx)) {
-        break;
-      }
-      first_in_region = false;
-      region_status = node->Call(
-          ctx, request_bytes, /*response_bytes=*/64,
-          [&](IpsInstance& instance) {
-            return instance.AddProfiles(caller, table, pid, records, ctx);
-          });
-      RecordOutcome(node_id, region_status);
-      if (region_status.ok()) break;
-      // A hint-less quota rejection is a server decision, not a node fault:
-      // stop hammering successors (they enforce the same quota). A load-shed
-      // WITH a retry-after hint may continue — the next attempt's
-      // PrepareRetry paces it by the hint without burning budget.
-      if (region_status.IsResourceExhausted() &&
-          !region_status.has_retry_after()) {
-        break;
-      }
-    }
-    if (region_status.ok()) {
-      ++regions_ok;
-    } else {
-      last_error = region_status;
-      metrics_->GetCounter("client.write_region_errors")->Increment();
-    }
-  }
-  // A deadline can expire before later regions were even attempted; they
-  // still count as not-acked — the ack reports coverage of the full
-  // deployment, not of the subset we got around to.
-  const size_t regions_total = deployment_->region_names().size();
+  std::vector<size_t> regions_ok;
+  const MultiAddResult batch = AddBatch(/*root_span=*/nullptr, caller, table,
+                                        {{pid, records}}, ctx, &regions_ok);
   if (out_ack != nullptr) {
-    out_ack->regions_ok = regions_ok;
-    out_ack->regions_total = regions_total;
+    out_ack->regions_ok = regions_ok[0];
+    out_ack->regions_total = deployment_->region_names().size();
   }
-  if (regions_ok == 0) {
+  if (!batch.statuses[0].ok()) {
     metrics_->GetCounter("client.write_errors")->Increment();
-    // Surface the representative cause: callers distinguish quota pacing
-    // (back off and retry) from unavailability (fail over / alert).
-    return last_error;
   }
-  if (regions_ok < regions_total) {
-    // Partial multi-region write: acknowledged (weak-consistency contract)
-    // but NOT silent — the missed regions serve stale reads until repair.
-    metrics_->GetCounter("client.write_partial_regions")->Increment();
-  }
-  return Status::OK();
+  return batch.statuses[0];
 }
 
 Result<MultiAddResult> IpsClient::MultiAddAs(
     const std::string& caller, const std::string& table,
     const std::vector<MultiAddItem>& items, const CallContext& ctx) {
   if (items.empty()) return Status::InvalidArgument("empty add batch");
-  MaybeRefresh();
   metrics_->GetCounter("client.multi_write_requests")->Increment();
   metrics_->GetCounter("client.multi_write_pids")
       ->Increment(static_cast<int64_t>(items.size()));
-  retry_policy_.OnRequestStart();
+  MultiAddResult out =
+      AddBatch("client.multi_add", caller, table, items, ctx, nullptr);
+  if (out.ok_items < items.size()) {
+    metrics_->GetCounter("client.multi_write_errors")
+        ->Increment(static_cast<int64_t>(items.size() - out.ok_items));
+  }
+  return out;
+}
 
-  // Root span covering the whole multi-region scatter-gather; workers pass
-  // the derived context to node->Call so per-node spans parent to it.
+MultiAddResult IpsClient::AddBatch(const char* root_span,
+                                   const std::string& caller,
+                                   const std::string& table,
+                                   const std::vector<MultiAddItem>& items,
+                                   const CallContext& ctx,
+                                   std::vector<size_t>* out_regions_ok) {
   TraceInstallScope trace_install(ctx.trace);
-  ScopedSpan root_span("client.multi_add");
-  CallContext call_ctx = ctx;
-  call_ctx.trace = CurrentTrace();
-
-  struct ItemState {
-    size_t regions_ok = 0;
-    bool done_region = false;  // acknowledged in the region being processed
-    Status status = Status::Unavailable("no live instance");
+  std::optional<ScopedSpan> root;
+  if (root_span != nullptr) root.emplace(root_span);
+  Scatter s(ctx, options_.max_write_attempts);
+  MaybeRefresh();
+  retry_policy_.OnRequestStart();
+  s.pids.reserve(items.size());
+  for (const auto& item : items) s.pids.push_back(item.pid);
+  s.wire_bytes = [&](const std::vector<size_t>& group) {
+    // The transport cost model is size-proportional: charge the encoded
+    // size of the records, not a fixed per-request constant.
+    size_t request_bytes = 0;
+    for (size_t i : group) {
+      request_bytes += EstimateAddPayloadBytes(items[i].records);
+    }
+    return std::pair<size_t, size_t>(request_bytes, 64 * group.size());
   };
-  std::vector<ItemState> states(items.size());
-  bool stop_all = false;
+  s.send = [&](IpsInstance& instance, const std::vector<size_t>& group,
+               std::vector<Status>* statuses) -> Status {
+    std::vector<MultiAddItem> sub;
+    if (group.size() < items.size()) {
+      sub.reserve(group.size());
+      for (size_t i : group) sub.push_back(items[i]);
+    }
+    IPS_ASSIGN_OR_RETURN(
+        MultiAddResult batch,
+        instance.MultiAdd(caller, table, sub.empty() ? items : sub,
+                          s.call_ctx));
+    *statuses = std::move(batch.statuses);
+    return Status::OK();
+  };
 
-  // Multi-region writing, one region at a time: within a region the items
-  // are grouped by ring owner and each group goes out as ONE MultiAdd RPC,
-  // workers in parallel (they write disjoint item states — no lock). The
-  // region fan-out itself is the write contract, not a retry; the retry
-  // policy gates successor rounds *within* a region, like AddProfilesAs.
+  // Multi-region writing: every region gets every item on its owner. The
+  // region fan-out is the write contract, not a retry, so each region's
+  // round starts without one; only the deadline stops the fan-out.
   const std::vector<std::string> regions = deployment_->region_names();
+  std::vector<size_t> regions_ok(items.size(), 0);
+  int64_t region_errors = 0;
   for (const auto& region : regions) {
-    if (stop_all) break;
-    std::vector<std::vector<std::string>> candidates(items.size());
-    for (size_t s = 0; s < items.size(); ++s) {
-      states[s].done_region = false;
-      candidates[s] =
-          ReadCandidates(items[s].pid, region, options_.max_write_attempts);
+    s.Open();
+    const RoundEnd end = ScatterRound(region, s);
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (s.states[i] == ItemState::kAccepted) {
+        ++regions_ok[i];
+      } else {
+        ++region_errors;
+      }
     }
-    bool quota_stop = false;
-    bool first_in_region = true;
-    for (int attempt = 0;
-         attempt < options_.max_write_attempts && !quota_stop; ++attempt) {
-      const TimestampMs round_now = deployment_->clock()->NowMs();
-      if (ctx.Expired(round_now)) {
-        metrics_->GetCounter("client.deadline_exceeded")->Increment();
-        for (auto& state : states) {
-          if (!state.done_region && state.regions_ok == 0) {
-            state.status = Status::DeadlineExceeded("client deadline expired");
-          }
-        }
-        stop_all = true;
-        break;
-      }
-      // Group unfinished items by this attempt's ring owner. std::map keeps
-      // the scatter order deterministic.
-      std::map<std::string, std::vector<size_t>> by_node;
-      for (size_t s = 0; s < items.size(); ++s) {
-        if (states[s].done_region) continue;
-        if (static_cast<size_t>(attempt) < candidates[s].size()) {
-          by_node[candidates[s][attempt]].push_back(s);
-        }
-      }
-      if (by_node.empty()) break;
-
-      // Successor rounds need a grant from the retry policy; refusal stops
-      // this region's retries but later regions still get their fan-out.
-      if (!first_in_region && retry_policy_.enabled()) {
-        Status round_error = Status::Unavailable("no live instance");
-        for (const auto& state : states) {
-          if (!state.done_region) {
-            round_error = state.status;
-            break;
-          }
-        }
-        if (!PrepareRetry(round_error, ctx)) break;
-      }
-      first_in_region = false;
-
-      std::atomic<bool> saw_quota{false};
-      std::vector<std::thread> workers;
-      workers.reserve(by_node.size());
-      for (auto& group : by_node) {
-        IpsNode* node = deployment_->FindNode(group.first);
-        if (node == nullptr) continue;
-        if (breakers_.enabled() &&
-            !breakers_.Get(group.first)->AllowRequest(round_now)) {
-          metrics_->GetCounter("client.breaker_skips")
-              ->Increment(static_cast<int64_t>(group.second.size()));
-          for (size_t s : group.second) {
-            states[s].status = Status::Unavailable("circuit breaker open");
-          }
-          continue;
-        }
-        const std::string* node_id = &group.first;
-        const std::vector<size_t>* item_ids = &group.second;
-        workers.emplace_back([&, node, node_id, item_ids] {
-          std::vector<MultiAddItem> sub;
-          sub.reserve(item_ids->size());
-          size_t request_bytes = 0;
-          for (size_t s : *item_ids) {
-            sub.push_back(items[s]);
-            request_bytes += EstimateAddPayloadBytes(items[s].records);
-          }
-          Result<MultiAddResult> batch = Status::Unavailable("unset");
-          Status call_status = node->Call(
-              call_ctx, request_bytes,
-              /*response_bytes=*/64 * sub.size(),
-              [&](IpsInstance& instance) {
-                batch = instance.MultiAdd(caller, table, sub, call_ctx);
-                return batch.ok() ? Status::OK() : batch.status();
-              });
-          if (call_status.ok() && batch.ok()) {
-            RecordOutcome(*node_id, Status::OK());
-            for (size_t j = 0; j < item_ids->size(); ++j) {
-              ItemState& state = states[(*item_ids)[j]];
-              if (batch->statuses[j].ok()) {
-                state.done_region = true;
-              } else {
-                state.status = batch->statuses[j];
-              }
-            }
-          } else {
-            // Batch-level failure (node down, quota, unknown table): every
-            // item in the sub-batch shares the cause.
-            Status error = call_status.ok() ? batch.status() : call_status;
-            RecordOutcome(*node_id, error);
-            // Hint-less quota rejections stop the region's retries below; a
-            // load-shed WITH a retry-after hint is re-offered on the next
-            // round, paced by PrepareRetry honoring the hint.
-            if (error.IsResourceExhausted() && !error.has_retry_after()) {
-              saw_quota.store(true, std::memory_order_relaxed);
-            }
-            for (size_t s : *item_ids) states[s].status = error;
-          }
-        });
-      }
-      for (auto& worker : workers) worker.join();
-      // Quota rejections are not retried within the region: successors
-      // enforce the same per-caller budget.
-      if (saw_quota.load(std::memory_order_relaxed)) quota_stop = true;
-    }
-    for (auto& state : states) {
-      if (state.done_region) ++state.regions_ok;
-    }
+    if (end == RoundEnd::kDeadline) break;
+  }
+  if (region_errors > 0) {
+    metrics_->GetCounter("client.write_region_errors")
+        ->Increment(region_errors);
   }
 
   // Gather: an item is acknowledged when at least one region accepted it
   // (the weak-consistency write contract); partial region coverage is
-  // surfaced through the counter rather than silently dropped.
+  // surfaced through the counter rather than silently dropped. A deadline
+  // can stop the fan-out before later regions were attempted; they still
+  // count as not-acked.
   MultiAddResult out;
   out.statuses.assign(items.size(), Status::OK());
-  int64_t failed = 0;
   int64_t partial = 0;
-  for (size_t s = 0; s < items.size(); ++s) {
-    if (states[s].regions_ok == 0) {
-      out.statuses[s] = states[s].status;
-      ++failed;
-    } else {
-      ++out.ok_items;
-      if (states[s].regions_ok < regions.size()) ++partial;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (regions_ok[i] == 0) {
+      out.statuses[i] = s.statuses[i];
+      continue;
     }
-  }
-  if (failed > 0) {
-    metrics_->GetCounter("client.multi_write_errors")->Increment(failed);
+    ++out.ok_items;
+    if (regions_ok[i] < regions.size()) ++partial;
   }
   if (partial > 0) {
     metrics_->GetCounter("client.write_partial_regions")->Increment(partial);
   }
+  if (out_regions_ok != nullptr) *out_regions_ok = std::move(regions_ok);
   return out;
 }
 
 Result<QueryResult> IpsClient::Query(const std::string& table, ProfileId pid,
                                      const QuerySpec& spec,
                                      const CallContext& ctx) {
-  // Root span for the whole client-side request (attempts, backoff, RPC).
-  // Children recorded below (rpc.transfer, server.query, ...) parent to it
-  // via the derived context handed to node->Call.
-  TraceInstallScope trace_install(ctx.trace);
-  ScopedSpan root_span("client.query");
-  CallContext call_ctx = ctx;
-  call_ctx.trace = CurrentTrace();
-
-  // Client-side dispatch machinery — discovery refresh, routing, retry
-  // policy, outcome bookkeeping — is real per-request work. It reports as
-  // rpc.dispatch so the disjoint-stage sum accounts for it; the span is
-  // suspended around node->Call so it never overlaps rpc.transfer or any
-  // server-side stage.
-  std::optional<ScopedSpan> dispatch_span;
-  dispatch_span.emplace("rpc.dispatch");
-  MaybeRefresh();
   metrics_->GetCounter("client.read_requests")->Increment();
-  retry_policy_.OnRequestStart();
-
-  // The result slot and handler are built once, inside the dispatch span, and
-  // reused across attempts: the std::function allocation would otherwise land
-  // in the untraced window while the span is suspended around node->Call.
-  Result<QueryResult> query_result = Status::Unavailable("unset");
-  const std::function<Status(IpsInstance&)> handler =
-      [&](IpsInstance& instance) {
-        query_result =
-            instance.Query(options_.caller, table, pid, spec, call_ctx);
-        return query_result.ok() ? Status::OK() : query_result.status();
-      };
-
-  // Region preference: local first, then failover regions in order.
-  std::vector<std::string> regions;
-  if (!options_.local_region.empty()) regions.push_back(options_.local_region);
-  for (const auto& r : options_.failover_regions) regions.push_back(r);
-  if (regions.empty()) regions = deployment_->region_names();
-
-  Status last_error = Status::Unavailable("no live instance");
-  bool first_attempt = true;
-  // Server-paced (retry-after) re-offers allowed for this request. The cap
-  // keeps a deadline-less request from pacing against a shedding server
-  // forever; with a deadline, PrepareRetry's headroom check bounds it too.
-  int throttle_retries = options_.max_read_attempts;
-  for (const auto& region : regions) {
-    const auto candidates =
-        ReadCandidates(pid, region, options_.max_read_attempts);
-    for (size_t ci = 0; ci < candidates.size();) {
-      const std::string& node_id = candidates[ci];
-      IpsNode* node = deployment_->FindNode(node_id);
-      if (node == nullptr) {
-        ++ci;
-        continue;
-      }
-      if (ctx.Expired(deployment_->clock()->NowMs())) {
-        metrics_->GetCounter("client.deadline_exceeded")->Increment();
-        metrics_->GetCounter("client.read_errors")->Increment();
-        return Status::DeadlineExceeded("client deadline expired");
-      }
-      // Attempts after the first need a grant from the retry policy:
-      // terminal errors and an exhausted budget both stop the loop.
-      if (!first_attempt && retry_policy_.enabled() &&
-          !PrepareRetry(last_error, ctx)) {
-        metrics_->GetCounter("client.read_errors")->Increment();
-        return last_error;
-      }
-      first_attempt = false;
-      query_result = Status::Unavailable("unset");
-      dispatch_span.reset();
-      Status call_status = node->Call(call_ctx, options_.request_bytes,
-                                      options_.response_bytes, handler);
-      dispatch_span.emplace("rpc.dispatch");
-      if (call_status.ok() && query_result.ok()) {
-        RecordOutcome(node_id, Status::OK());
-        if (query_result->degraded) {
-          metrics_->GetCounter("client.degraded_reads")->Increment();
-        }
-        return query_result;
-      }
-      last_error = call_status.ok() ? query_result.status() : call_status;
-      RecordOutcome(node_id, last_error);
-      if (last_error.IsThrottled()) {
-        // A load-shed with a retry-after hint means "come back to ME after
-        // the hint" — re-offer to the SAME node after the server-paced
-        // backoff (PrepareRetry grants the hint without burning budget).
-        // A hint-less quota rejection stays terminal: successors enforce
-        // the same per-caller budget.
-        if (last_error.has_retry_after() && throttle_retries > 0) {
-          --throttle_retries;
-          continue;
-        }
-        break;
-      }
-      ++ci;
-    }
-    if (last_error.IsResourceExhausted()) break;
+  MultiQueryResult batch = QueryBatch(
+      "client.query", table, std::span<const ProfileId>(&pid, 1), spec, ctx);
+  if (!batch.statuses[0].ok()) {
+    metrics_->GetCounter("client.read_errors")->Increment();
+    return batch.statuses[0];
   }
-  metrics_->GetCounter("client.read_errors")->Increment();
-  return last_error;
+  return std::move(batch.results[0]);
 }
 
 Result<MultiQueryResult> IpsClient::MultiQuery(const std::string& table,
@@ -529,195 +469,104 @@ Result<MultiQueryResult> IpsClient::MultiQuery(const std::string& table,
                                                const QuerySpec& spec,
                                                const CallContext& ctx) {
   if (pids.empty()) return Status::InvalidArgument("empty pid batch");
-  MaybeRefresh();
   metrics_->GetCounter("client.multi_read_requests")->Increment();
   metrics_->GetCounter("client.multi_read_pids")
       ->Increment(static_cast<int64_t>(pids.size()));
-  retry_policy_.OnRequestStart();
+  MultiQueryResult out =
+      QueryBatch("client.multi_query", table, pids, spec, ctx);
+  const int64_t failed =
+      std::count_if(out.statuses.begin(), out.statuses.end(),
+                    [](const Status& status) { return !status.ok(); });
+  if (failed > 0) {
+    metrics_->GetCounter("client.multi_read_errors")->Increment(failed);
+  }
+  return out;
+}
 
-  // Root span covering the whole scatter-gather. Workers pass the derived
-  // context to node->Call, which re-installs it on the worker thread, so the
-  // parallel per-node spans all parent to this root.
+MultiQueryResult IpsClient::QueryBatch(const char* root_span,
+                                       const std::string& table,
+                                       std::span<const ProfileId> pids,
+                                       const QuerySpec& spec,
+                                       const CallContext& ctx) {
+  // Root span for the whole request. The calls carry it as their trace
+  // parent, so per-node spans nest under it on whichever thread runs them.
   TraceInstallScope trace_install(ctx.trace);
-  ScopedSpan root_span("client.multi_query");
-  CallContext call_ctx = ctx;
-  call_ctx.trace = CurrentTrace();
+  ScopedSpan root(root_span);
+  Scatter s(ctx, options_.max_read_attempts);
+  MaybeRefresh();
+  retry_policy_.OnRequestStart();
 
   // Deduplicate while preserving first-seen order: duplicate candidates cost
   // one lookup and fan back out on reassembly.
-  std::vector<ProfileId> unique;
-  std::vector<size_t> slot_of(pids.size());
+  std::vector<size_t> item_of(pids.size());
   {
     std::unordered_map<ProfileId, size_t> seen;
     for (size_t i = 0; i < pids.size(); ++i) {
-      auto [it, inserted] = seen.try_emplace(pids[i], unique.size());
-      if (inserted) unique.push_back(pids[i]);
-      slot_of[i] = it->second;
+      auto [it, inserted] = seen.try_emplace(pids[i], s.pids.size());
+      if (inserted) s.pids.push_back(pids[i]);
+      item_of[i] = it->second;
     }
   }
-
-  struct SlotState {
-    bool done = false;
-    Status status = Status::Unavailable("no live instance");
-    QueryResult result;
-  };
-  std::vector<SlotState> slots(unique.size());
+  s.Open();
+  std::vector<QueryResult> results(s.pids.size());
   std::atomic<size_t> cache_hits{0};
-  bool quota_stop = false;
-  bool stop_all = false;
+  s.wire_bytes = [&](const std::vector<size_t>& group) {
+    return std::pair<size_t, size_t>(
+        options_.request_bytes + group.size() * sizeof(ProfileId),
+        options_.response_bytes * group.size());
+  };
+  s.send = [&](IpsInstance& instance, const std::vector<size_t>& group,
+               std::vector<Status>* statuses) -> Status {
+    std::vector<ProfileId> sub;
+    if (group.size() < s.pids.size()) {
+      sub.reserve(group.size());
+      for (size_t i : group) sub.push_back(s.pids[i]);
+    }
+    IPS_ASSIGN_OR_RETURN(
+        MultiQueryResult batch,
+        instance.MultiQuery(options_.caller, table, sub.empty() ? s.pids : sub,
+                            spec, s.call_ctx));
+    cache_hits.fetch_add(batch.cache_hits, std::memory_order_relaxed);
+    for (size_t j = 0; j < group.size(); ++j) {
+      if (batch.statuses[j].ok()) {
+        results[group[j]] = std::move(batch.results[j]);
+      }
+    }
+    *statuses = std::move(batch.statuses);
+    return Status::OK();
+  };
 
-  // Region preference: local first, then failover regions in order.
+  // Region preference: local first, then failover regions in order, until
+  // no item is open. A quota stop, a refused retry or the deadline ends the
+  // request.
   std::vector<std::string> regions;
   if (!options_.local_region.empty()) regions.push_back(options_.local_region);
   for (const auto& r : options_.failover_regions) regions.push_back(r);
   if (regions.empty()) regions = deployment_->region_names();
-
-  bool first_round = true;
   for (const auto& region : regions) {
-    if (quota_stop || stop_all) break;
-    // Ring candidates for every unfinished slot, computed once per region.
-    std::vector<std::vector<std::string>> candidates(unique.size());
-    for (size_t s = 0; s < unique.size(); ++s) {
-      if (!slots[s].done) {
-        candidates[s] =
-            ReadCandidates(unique[s], region, options_.max_read_attempts);
-      }
-    }
-    for (int attempt = 0; attempt < options_.max_read_attempts && !quota_stop;
-         ++attempt) {
-      const TimestampMs round_now = deployment_->clock()->NowMs();
-      if (ctx.Expired(round_now)) {
-        metrics_->GetCounter("client.deadline_exceeded")->Increment();
-        for (auto& slot : slots) {
-          if (!slot.done) {
-            slot.status = Status::DeadlineExceeded("client deadline expired");
-          }
-        }
-        stop_all = true;
-        break;
-      }
-      // Group unfinished slots by this attempt's ring owner. std::map keeps
-      // the scatter order deterministic.
-      std::map<std::string, std::vector<size_t>> by_node;
-      for (size_t s = 0; s < unique.size(); ++s) {
-        if (slots[s].done) continue;
-        if (static_cast<size_t>(attempt) < candidates[s].size()) {
-          by_node[candidates[s][attempt]].push_back(s);
-        }
-      }
-      if (by_node.empty()) break;
-
-      // Rounds after the first need a grant from the retry policy. The
-      // representative error is the first unfinished slot's status from the
-      // previous round.
-      if (!first_round && retry_policy_.enabled()) {
-        Status round_error = Status::Unavailable("no live instance");
-        for (const auto& slot : slots) {
-          if (!slot.done) {
-            round_error = slot.status;
-            break;
-          }
-        }
-        if (!PrepareRetry(round_error, ctx)) {
-          stop_all = true;
-          break;
-        }
-      }
-      first_round = false;
-
-      // Scatter: one sub-batch RPC per owning node, in parallel. Each worker
-      // writes a disjoint set of slots, so no lock is needed. Nodes whose
-      // breaker re-opened since candidate selection are skipped here; their
-      // slots stay unfinished and move to the next ring successor.
-      std::atomic<bool> saw_quota{false};
-      std::vector<std::thread> workers;
-      workers.reserve(by_node.size());
-      for (auto& group : by_node) {
-        IpsNode* node = deployment_->FindNode(group.first);
-        if (node == nullptr) continue;
-        if (breakers_.enabled() &&
-            !breakers_.Get(group.first)->AllowRequest(round_now)) {
-          metrics_->GetCounter("client.breaker_skips")
-              ->Increment(static_cast<int64_t>(group.second.size()));
-          for (size_t s : group.second) {
-            slots[s].status = Status::Unavailable("circuit breaker open");
-          }
-          continue;
-        }
-        const std::string* node_id = &group.first;
-        const std::vector<size_t>* slot_ids = &group.second;
-        workers.emplace_back([&, node, node_id, slot_ids] {
-          std::vector<ProfileId> sub;
-          sub.reserve(slot_ids->size());
-          for (size_t s : *slot_ids) sub.push_back(unique[s]);
-          Result<MultiQueryResult> batch = Status::Unavailable("unset");
-          Status call_status = node->Call(
-              call_ctx,
-              options_.request_bytes + sub.size() * sizeof(ProfileId),
-              options_.response_bytes * sub.size(),
-              [&](IpsInstance& instance) {
-                batch = instance.MultiQuery(
-                    options_.caller, table,
-                    std::span<const ProfileId>(sub.data(), sub.size()), spec,
-                    call_ctx);
-                return batch.ok() ? Status::OK() : batch.status();
-              });
-          if (call_status.ok() && batch.ok()) {
-            RecordOutcome(*node_id, Status::OK());
-            cache_hits.fetch_add(batch->cache_hits,
-                                 std::memory_order_relaxed);
-            for (size_t j = 0; j < slot_ids->size(); ++j) {
-              SlotState& slot = slots[(*slot_ids)[j]];
-              slot.status = batch->statuses[j];
-              if (slot.status.ok()) {
-                slot.done = true;
-                slot.result = std::move(batch->results[j]);
-              }
-            }
-          } else {
-            // Batch-level failure (node down, quota, unknown table): every
-            // slot in the sub-batch shares the cause.
-            Status error = call_status.ok() ? batch.status() : call_status;
-            RecordOutcome(*node_id, error);
-            // Hint-less quota rejections stop the scatter below; a load-shed
-            // WITH a retry-after hint is re-offered on the next round, paced
-            // by PrepareRetry honoring the hint.
-            if (error.IsResourceExhausted() && !error.has_retry_after()) {
-              saw_quota.store(true, std::memory_order_relaxed);
-            }
-            for (size_t s : *slot_ids) slots[s].status = error;
-          }
-        });
-      }
-      for (auto& worker : workers) worker.join();
-      // Quota rejections are not retried: the server told us to back off,
-      // and ring successors enforce the same per-caller budget.
-      if (saw_quota.load(std::memory_order_relaxed)) quota_stop = true;
-    }
+    if (ScatterRound(region, s) != RoundEnd::kExhausted) break;
   }
 
-  // Gather: expand unique slots back to input order.
+  // Gather: expand the items back to input order. Without duplicates every
+  // result moves out; a duplicated pid's result is copied per occurrence.
+  const bool no_duplicates = s.pids.size() == pids.size();
   MultiQueryResult out;
   out.results.resize(pids.size());
   out.statuses.assign(pids.size(), Status::OK());
   out.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  int64_t failed = 0;
   for (size_t i = 0; i < pids.size(); ++i) {
-    SlotState& slot = slots[slot_of[i]];
-    if (slot.done) {
-      out.results[i] = slot.result;
-      if (slot.result.degraded) ++out.degraded;
-    } else {
-      out.statuses[i] = slot.status;
-      ++failed;
+    const size_t item = item_of[i];
+    if (s.states[item] != ItemState::kAccepted) {
+      out.statuses[i] = s.statuses[item];
+      continue;
     }
+    out.results[i] =
+        no_duplicates ? std::move(results[item]) : results[item];
+    if (out.results[i].degraded) ++out.degraded;
   }
   if (out.degraded > 0) {
     metrics_->GetCounter("client.degraded_reads")
         ->Increment(static_cast<int64_t>(out.degraded));
-  }
-  if (failed > 0) {
-    metrics_->GetCounter("client.multi_read_errors")->Increment(failed);
   }
   return out;
 }

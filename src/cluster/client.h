@@ -2,8 +2,9 @@
 // application uses. It refreshes the instance list from service discovery
 // periodically, routes each profile id with consistent hashing, retries
 // failed calls on ring successors, prefers the local region for reads, and
-// fans writes out to every region (Fig 15). Client-observed errors feed the
-// error-rate metric of Fig 17.
+// fans writes out to every region (Fig 15). Every call — single-profile or
+// batched, read or write — goes through one scatter round per region.
+// Client-observed errors feed the error-rate metric of Fig 17.
 #ifndef IPS_CLUSTER_CLIENT_H_
 #define IPS_CLUSTER_CLIENT_H_
 
@@ -31,9 +32,11 @@ struct IpsClientOptions {
   std::string local_region;
   /// Region preference order after the local one (failover targets).
   std::vector<std::string> failover_regions;
-  /// Attempts per read, each on the next ring successor.
+  /// Attempts per read per region, each on the next ring successor; also
+  /// the bound on same-node re-offers of a shed read.
   int max_read_attempts = 2;
-  /// Attempts per write per region.
+  /// Attempts per write per region; also the bound on same-node re-offers
+  /// of a shed write.
   int max_write_attempts = 2;
   /// Discovery view refresh interval (simulated time).
   int64_t refresh_interval_ms = 2000;
@@ -72,7 +75,7 @@ class IpsClient {
   /// Write path: the record is sent to the owning instance in *every*
   /// region (multi-region writing). Succeeds when at least one region
   /// acknowledged; per-region failures are counted but tolerated, matching
-  /// the weak-consistency contract.
+  /// the weak-consistency contract. Batch-of-one wrapper over MultiAdd.
   Status AddProfile(const std::string& table, ProfileId pid,
                     TimestampMs timestamp, SlotId slot, TypeId type,
                     FeatureId fid, const CountVector& counts);
@@ -95,14 +98,14 @@ class IpsClient {
                        ProfileId pid, const std::vector<AddRecord>& records,
                        const CallContext& ctx, WriteAck* out_ack = nullptr);
 
-  /// Batched write path (mirror of MultiQuery): items are grouped by owning
-  /// instance on each region's ring and each group goes out as ONE MultiAdd
-  /// RPC — sub-batches fan out to their owners in parallel, per region, and
-  /// per-item statuses reassemble in input order. An item is OK when at
-  /// least one region accepted it; items accepted by only some regions bump
-  /// `client.write_partial_regions`. Retries regroup unfinished items by
-  /// ring successor within each region under the usual retry policy /
-  /// breaker gates.
+  /// Batched write path (mirror of MultiQuery): one scatter round per
+  /// region groups the items by owning instance on that region's ring and
+  /// sends each group as ONE MultiAdd RPC — sub-batches fan out to their
+  /// owners in parallel and per-item statuses reassemble in input order. An
+  /// item is OK when at least one region accepted it; items accepted by
+  /// only some regions bump `client.write_partial_regions`. Within a region
+  /// a failed item moves to its ring successor under the retry policy and
+  /// breaker gates; a shed item goes back to the same owner (see Query).
   Result<MultiAddResult> MultiAdd(const std::string& table,
                                   const std::vector<MultiAddItem>& items) {
     return MultiAddAs(options_.caller, table, items, DefaultContext());
@@ -126,7 +129,12 @@ class IpsClient {
   /// Read path: local region first, ring successor retries, then failover
   /// regions. Attempts after the first are granted by the retry policy
   /// (classification + budget) and separated by jittered backoff; nodes
-  /// with an open circuit breaker are skipped at candidate selection.
+  /// with an open circuit breaker are skipped at candidate selection. A
+  /// load-shed with a retry-after hint is re-offered to the SAME node after
+  /// the server-paced wait (at most max_read_attempts times), never to a
+  /// successor; a hint-less quota rejection is terminal. Batch-of-one
+  /// wrapper over MultiQuery that keeps its own root span (client.query)
+  /// and counters (client.read_*).
   Result<QueryResult> Query(const std::string& table, ProfileId pid,
                             const QuerySpec& spec) {
     return Query(table, pid, spec, DefaultContext());
@@ -139,9 +147,9 @@ class IpsClient {
   /// grouped by owning instance on the consistent-hash ring, and each group
   /// goes out as ONE MultiQuery RPC — sub-batches fan out to their owners in
   /// parallel and reassemble in input order with per-pid statuses. Retries
-  /// regroup unfinished pids by ring successor, then failover regions, same
-  /// policy as single-profile Query. Duplicate pids share one lookup but
-  /// each occurrence gets its own result slot.
+  /// regroup unfinished pids by ring successor, then failover regions.
+  /// Duplicate pids share one lookup but each occurrence gets its own
+  /// result slot.
   Result<MultiQueryResult> MultiQuery(const std::string& table,
                                       std::span<const ProfileId> pids,
                                       const QuerySpec& spec) {
@@ -192,6 +200,34 @@ class IpsClient {
 
   /// Records a call outcome on the node's breaker.
   void RecordOutcome(const std::string& node_id, const Status& status);
+
+  /// One request's items on their way through ScatterRound (client.cc).
+  struct Scatter;
+  enum class RoundEnd;
+
+  /// The one request loop. Walks the open items of `s` through their ring
+  /// candidates in `region`: each attempt groups them by owner, gates the
+  /// retry (deadline, retry policy), calls every owner group once — one
+  /// group on this thread, the others on workers — and folds the per-item
+  /// statuses. A failed item moves to its next candidate; a shed item
+  /// (throttled with a retry-after hint) stays on the same node, at most
+  /// `max_attempts` times; a hint-less quota rejection stops the round.
+  RoundEnd ScatterRound(const std::string& region, Scatter& s);
+
+  /// Read direction: regions in preference order until every pid is done.
+  /// `root_span` names the request's root span.
+  MultiQueryResult QueryBatch(const char* root_span, const std::string& table,
+                              std::span<const ProfileId> pids,
+                              const QuerySpec& spec, const CallContext& ctx);
+
+  /// Write direction: one round per region, counting region acks per item
+  /// into `out_regions_ok` when non-null. `root_span` may be null (no root
+  /// span of its own).
+  MultiAddResult AddBatch(const char* root_span, const std::string& caller,
+                          const std::string& table,
+                          const std::vector<MultiAddItem>& items,
+                          const CallContext& ctx,
+                          std::vector<size_t>* out_regions_ok);
 
   IpsClientOptions options_;
   Deployment* deployment_;

@@ -300,73 +300,10 @@ Status Persister::CommitSplitMeta(
 }
 
 Result<ProfileData> Persister::Load(ProfileId pid, bool* out_degraded) {
-  if (out_degraded != nullptr) *out_degraded = false;
-  Result<ProfileData> primary =
-      LoadFrom(kv_, pid, /*record_bookkeeping=*/true);
-  if (primary.ok() || options_.fallback_kv == nullptr ||
-      !primary.status().IsUnavailable()) {
-    return primary;
-  }
-  // Primary store outage: retry against the fallback replica. NotFound
-  // there is inconclusive (replication lag may not have delivered the
-  // profile), so surface the primary outage rather than pretending the
-  // profile does not exist.
-  Result<ProfileData> fallback =
-      LoadFrom(options_.fallback_kv, pid, /*record_bookkeeping=*/false);
-  if (!fallback.ok()) return primary;
-  // Version / slice state observed on the replica must not gate the next
-  // master flush: drop it so the flush rewrites everything.
-  ForgetFlushState(pid);
-  if (out_degraded != nullptr) *out_degraded = true;
-  return fallback;
-}
-
-Result<ProfileData> Persister::LoadFrom(KvStore* kv, ProfileId pid,
-                                        bool record_bookkeeping) {
-  if (options_.mode == PersistenceMode::kSliceSplit) {
-    KvEntry meta_entry;
-    Status status = kv->XGet(MetaKey(pid), &meta_entry);
-    if (status.ok()) {
-      if (record_bookkeeping) RememberVersion(pid, meta_entry.version);
-      return LoadSplit(kv, pid, meta_entry.value, record_bookkeeping);
-    }
-    if (!status.IsNotFound()) return status;
-    // Fall through: the profile may exist in bulk form (threshold mode or a
-    // mode migration).
-  }
-  return LoadBulk(kv, pid);
-}
-
-Result<ProfileData> Persister::LoadBulk(KvStore* kv, ProfileId pid) {
-  std::string encoded;
-  IPS_RETURN_IF_ERROR(kv->Get(BulkKey(pid), &encoded));
-  ScopedSpan decode_span("codec.decode");
-  ProfileData profile;
-  bool zero_copy = false;
-  IPS_RETURN_IF_ERROR(DecodeProfile(encoded, &profile, &zero_copy));
-  if (zero_copy && zero_copy_decodes_ != nullptr) {
-    zero_copy_decodes_->Increment();
-  }
-  return profile;
-}
-
-Result<ProfileData> Persister::LoadSplit(KvStore* kv, ProfileId pid,
-                                         const std::string& meta_value,
-                                         bool record_bookkeeping) {
-  SliceMeta meta;
-  IPS_RETURN_IF_ERROR(DecodeSliceMeta(meta_value, &meta));
-  // All referenced slice values in one batched read — a split profile load
-  // costs one meta read plus one multi-get, not one round trip per slice.
-  std::vector<std::string> keys;
-  keys.reserve(meta.entries.size());
-  for (const auto& entry : meta.entries) {
-    keys.push_back(SliceKey(pid, entry.slice_key));
-  }
-  std::vector<std::string> values;
-  std::vector<Status> statuses;
-  kv->MultiGet(keys, &values, &statuses);
-  return AssembleSplit(pid, meta, values.data(), statuses.data(),
-                       record_bookkeeping);
+  std::vector<bool> degraded;
+  std::vector<Result<ProfileData>> out = LoadBatch({pid}, &degraded);
+  if (out_degraded != nullptr) *out_degraded = degraded[0];
+  return std::move(out[0]);
 }
 
 Result<ProfileData> Persister::AssembleSplit(ProfileId pid,
@@ -444,8 +381,10 @@ std::vector<Result<ProfileData>> Persister::LoadBatch(
                     /*record_bookkeeping=*/false);
   glue_span.emplace("kv.load");
   for (size_t j = 0; j < retry_pids.size(); ++j) {
-    // As in Load: only a successful fallback read replaces the primary
-    // error — NotFound on a lagging replica proves nothing.
+    // Only a successful fallback read replaces the primary error: NotFound
+    // on a lagging replica proves nothing (the profile may not have
+    // replicated yet), so the caller sees the primary outage, never a false
+    // "no such profile".
     if (!fallback[j].ok()) continue;
     out[retry_index[j]] = std::move(fallback[j]);
     ForgetFlushState(retry_pids[j]);
@@ -457,79 +396,57 @@ std::vector<Result<ProfileData>> Persister::LoadBatch(
 std::vector<Result<ProfileData>> Persister::LoadBatchFrom(
     KvStore* kv, const std::vector<ProfileId>& pids,
     bool record_bookkeeping) {
+  // Every referenced value across ALL profiles goes out in a single
+  // MultiGet: bulk values (every pid in bulk mode; pids without a meta in
+  // slice-split mode, where the profile may still be stored in bulk form)
+  // plus every slice value a split meta references. Split metas go through
+  // XGet first — the version bookkeeping of the Fig 14 protocol needs them
+  // individually; bulk mode reads no meta at all.
   std::vector<Result<ProfileData>> out;
-
-  if (options_.mode == PersistenceMode::kBulk) {
-    std::vector<std::string> keys;
-    {
-      // Result-slot setup and key marshaling are part of the KV read path;
-      // spanned separately so the work never nests inside the store's own
-      // kv.load span.
-      ScopedSpan prep_span("kv.load");
-      out.assign(pids.size(),
-                 Result<ProfileData>(Status::NotFound("pending")));
-      keys.reserve(pids.size());
-      for (ProfileId pid : pids) keys.push_back(BulkKey(pid));
-    }
-    std::vector<std::string> values;
-    std::vector<Status> statuses;
-    kv->MultiGet(keys, &values, &statuses);
-    ScopedSpan decode_span("codec.decode");
-    uint64_t zero_copy = 0;
-    for (size_t i = 0; i < pids.size(); ++i) {
-      if (!statuses[i].ok()) {
-        out[i] = statuses[i];
-        continue;
-      }
-      ProfileData profile;
-      bool aliased = false;
-      Status decoded = DecodeProfile(values[i], &profile, &aliased);
-      if (aliased) ++zero_copy;
-      out[i] = decoded.ok() ? Result<ProfileData>(std::move(profile))
-                            : Result<ProfileData>(decoded);
-    }
-    if (zero_copy_decodes_ != nullptr && zero_copy > 0) {
-      zero_copy_decodes_->Increment(static_cast<int64_t>(zero_copy));
-    }
-    return out;
-  }
-
-  // Slice-split mode: metas go through XGet (the version bookkeeping of the
-  // Fig 14 protocol needs them individually), then every referenced slice
-  // value across ALL profiles — plus bulk fallbacks for profiles without a
-  // meta — is fetched with a single MultiGet.
-  out.assign(pids.size(), Result<ProfileData>(Status::NotFound("pending")));
   struct PendingSplit {
     size_t index;
     SliceMeta meta;
     size_t first_key;  // offset of this profile's slice values in `keys`
   };
   std::vector<PendingSplit> splits;
-  std::vector<std::pair<size_t, size_t>> bulk_fallbacks;  // (index, key pos)
+  std::vector<std::pair<size_t, size_t>> bulk;  // (index, key pos)
   std::vector<std::string> keys;
+  // Result-slot setup and key marshaling are part of the KV read path. In
+  // bulk mode they get a kv.load span of their own; in slice-split mode the
+  // meta XGets open the store's kv.load spans, which must not nest inside
+  // another one.
+  std::optional<ScopedSpan> prep_span;
+  if (options_.mode == PersistenceMode::kBulk) prep_span.emplace("kv.load");
+  out.assign(pids.size(), Result<ProfileData>(Status::NotFound("pending")));
+  keys.reserve(pids.size());
   for (size_t i = 0; i < pids.size(); ++i) {
-    KvEntry meta_entry;
-    Status status = kv->XGet(MetaKey(pids[i]), &meta_entry);
-    if (status.ok()) {
-      if (record_bookkeeping) RememberVersion(pids[i], meta_entry.version);
-      SliceMeta meta;
-      Status decoded = DecodeSliceMeta(meta_entry.value, &meta);
-      if (!decoded.ok()) {
-        out[i] = decoded;
+    if (options_.mode == PersistenceMode::kSliceSplit) {
+      KvEntry meta_entry;
+      Status status = kv->XGet(MetaKey(pids[i]), &meta_entry);
+      if (status.ok()) {
+        if (record_bookkeeping) RememberVersion(pids[i], meta_entry.version);
+        SliceMeta meta;
+        Status decoded = DecodeSliceMeta(meta_entry.value, &meta);
+        if (!decoded.ok()) {
+          out[i] = decoded;
+          continue;
+        }
+        PendingSplit pending{i, std::move(meta), keys.size()};
+        for (const auto& entry : pending.meta.entries) {
+          keys.push_back(SliceKey(pids[i], entry.slice_key));
+        }
+        splits.push_back(std::move(pending));
         continue;
       }
-      PendingSplit pending{i, std::move(meta), keys.size()};
-      for (const auto& entry : pending.meta.entries) {
-        keys.push_back(SliceKey(pids[i], entry.slice_key));
+      if (!status.IsNotFound()) {
+        out[i] = status;
+        continue;
       }
-      splits.push_back(std::move(pending));
-    } else if (status.IsNotFound()) {
-      bulk_fallbacks.emplace_back(i, keys.size());
-      keys.push_back(BulkKey(pids[i]));
-    } else {
-      out[i] = status;
     }
+    bulk.emplace_back(i, keys.size());
+    keys.push_back(BulkKey(pids[i]));
   }
+  prep_span.reset();
 
   std::vector<std::string> values;
   std::vector<Status> statuses;
@@ -542,10 +459,10 @@ std::vector<Result<ProfileData>> Persister::LoadBatchFrom(
                       statuses.data() + pending.first_key,
                       record_bookkeeping);
   }
-  if (!bulk_fallbacks.empty()) {
+  if (!bulk.empty()) {
     ScopedSpan decode_span("codec.decode");
     uint64_t zero_copy = 0;
-    for (const auto& [index, key_pos] : bulk_fallbacks) {
+    for (const auto& [index, key_pos] : bulk) {
       if (!statuses[key_pos].ok()) {
         out[index] = statuses[key_pos];
         continue;

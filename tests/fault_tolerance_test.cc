@@ -310,6 +310,77 @@ TEST(OverloadShedClientTest, RetryAfterHonoredWithoutBurningBudget) {
   EXPECT_EQ(client.retry_policy().budget_denials(), 0);
 }
 
+TEST(OverloadShedClientTest, ShedWorkGoesBackToItsOwner) {
+  // A load-shed with a retry-after hint means "come back to me": every
+  // client path must re-offer shed work to the same node, never move it to
+  // the ring successor. A shed write moved to the successor lands in a
+  // non-owner's write-back cache (the KV then keeps whichever node flushed
+  // last), and a moved read faults the profile into the successor's cache.
+  ManualClock clock(100 * kDay);
+  DeploymentOptions options = ShedDeploymentOptions();
+  // Writes land in the cache itself, so a write the successor applied shows
+  // up in its cached_profiles.
+  options.instance.isolation_enabled = false;
+  Deployment deployment(options, &clock);
+  ASSERT_TRUE(
+      deployment.CreateTableEverywhere(DefaultTableSchema("profiles")).ok());
+  IpsClientOptions copts;
+  copts.caller = "ranker";
+  copts.local_region = "lf";
+  IpsClient client(copts, &deployment);
+
+  // Write and flush the pid, so a successor read would fault it in from
+  // the KV. The owner is the node that cached it.
+  constexpr ProfileId kPid = 7;
+  ASSERT_TRUE(client
+                  .AddProfile("profiles", kPid, clock.NowMs() - kMinute, 1, 1,
+                              42, CountVector{1})
+                  .ok());
+  IpsNode* owner = nullptr;
+  IpsNode* successor = nullptr;
+  for (auto* node : deployment.NodesInRegion("lf")) {
+    auto stats = node->instance().GetTableStats("profiles");
+    ASSERT_TRUE(stats.ok());
+    (stats->cached_profiles == 1 ? owner : successor) = node;
+  }
+  ASSERT_NE(owner, nullptr);
+  ASSERT_NE(successor, nullptr);
+  owner->instance().FlushAll();
+  owner->instance().overload().SetLevelOverride(3);  // brown-out: owner only
+
+  auto successor_cached = [&] {
+    return successor->instance().GetTableStats("profiles")->cached_profiles;
+  };
+  EXPECT_TRUE(client
+                  .AddProfile("profiles", kPid, clock.NowMs() - kMinute, 1, 1,
+                              43, CountVector{1})
+                  .IsThrottled());
+  EXPECT_EQ(successor_cached(), 0u) << "AddProfile";
+
+  MultiAddItem item;
+  item.pid = kPid;
+  item.records.push_back(
+      AddRecord{clock.NowMs() - kMinute, 1, 1, 44, CountVector{1}});
+  auto added = client.MultiAdd("profiles", {item});
+  ASSERT_TRUE(added.ok());
+  EXPECT_TRUE(added->statuses[0].IsThrottled());
+  EXPECT_EQ(successor_cached(), 0u) << "MultiAdd";
+
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  EXPECT_TRUE(client.Query("profiles", kPid, spec).status().IsThrottled());
+  EXPECT_EQ(successor_cached(), 0u) << "Query";
+
+  const std::vector<ProfileId> pids = {kPid};
+  auto read = client.MultiQuery("profiles", pids, spec);
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->statuses[0].IsThrottled());
+  EXPECT_EQ(successor_cached(), 0u) << "MultiQuery";
+  // Every re-offer was paced by the server's hint.
+  EXPECT_GT(client.retry_policy().throttle_backoffs(), 0);
+}
+
 TEST(OverloadShedClientTest, CriticalCallerRidesThroughBrownOut) {
   ManualClock clock(100 * kDay);
   Deployment deployment(ShedDeploymentOptions(), &clock);

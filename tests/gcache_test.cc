@@ -986,6 +986,64 @@ TEST(GCacheTest, WriteDuringFlushRoundTripRequeuesInsteadOfLosingIt) {
   EXPECT_EQ(cache.DirtyCount(), 0u);
 }
 
+TEST(GCacheTest, FlushAllWaitsForAnInFlightFlushPass) {
+  // FlushAll promises that every dirty entry reached the store. A
+  // concurrent flush pass takes its batch off the dirty list before storing
+  // it, so the list can be empty while that store is still in flight:
+  // FlushAll must wait the pass out instead of returning on the empty list.
+  FakeStore store;
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool store_entered = false;
+  bool gate_open = false;
+  PointFlushFn gated_flusher = [&](ProfileId pid, const ProfileData& profile) {
+    {
+      std::unique_lock<std::mutex> lock(gate_mu);
+      store_entered = true;
+      gate_cv.notify_all();
+      gate_cv.wait(lock, [&] { return gate_open; });
+    }
+    return store.PointFlusher()(pid, profile);
+  };
+  GCache cache(ManualOptions(), SystemClock::Instance(),
+               BatchedFlusher(gated_flusher), store.Loader());
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(1,
+                                      [](ProfileData& profile) {
+                                        profile
+                                            .Add(kMinute, 1, 1, 7,
+                                                 CountVector{1})
+                                            .ok();
+                                      })
+                  .ok());
+
+  std::thread pass([&] { EXPECT_EQ(cache.FlushOnce(), 1u); });
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    EXPECT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return store_entered; }));
+  }
+  // The pass holds the batch: it is off the dirty list but not stored.
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  std::atomic<bool> flush_all_returned{false};
+  std::thread flush_all([&] {
+    cache.FlushAll();
+    flush_all_returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(flush_all_returned.load()) << "FlushAll returned mid-pass";
+  EXPECT_FALSE(store.Has(1));
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+    gate_cv.notify_all();
+  }
+  flush_all.join();
+  pass.join();
+  EXPECT_TRUE(flush_all_returned.load());
+  EXPECT_TRUE(store.Has(1));
+}
+
 TEST(GCacheTest, EvictionWriteBackDoesNotBlockConcurrentReaders) {
   // Regression for the eviction lock-hold bug: EvictFromShard used to run
   // the KV write-back while still holding shard.mu, so a slow store stalled
