@@ -74,7 +74,7 @@ run_suite() {
     # tier-1 log.
     echo "=== tier1: TSan drain storm + coalescer + scatter-round races ==="
     (cd "${build_dir}" && ctest --output-on-failure \
-      -R '^(compaction_test|coalescer_test|load_broker_test|store_broker_test|gcache_test|cluster_test|fault_tolerance_test)$')
+      -R '^(compaction_test|coalescer_test|load_broker_test|store_broker_test|gcache_test|ips_instance_test|cluster_test|fault_tolerance_test)$')
   fi
 }
 

@@ -87,45 +87,6 @@ void GCache::TouchLru(LruShard& shard, LruShard::Slot& slot) {
   shard.lru.splice(shard.lru.begin(), shard.lru, slot.lru_it);
 }
 
-Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
-    ProfileId pid, bool create_if_missing) {
-  LruShard& shard = *lru_shards_[LruIndex(pid)];
-  // Every lookup — hit or miss — feeds the victim tier's admission sketch:
-  // a profile hot because it is L1-resident must still look hot to the
-  // admission check when it is eventually demoted.
-  if (victim_cache_ != nullptr) victim_cache_->RecordAccess(pid);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(pid);
-    if (it != shard.map.end()) {
-      TouchLru(shard, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (hit_ != nullptr) hit_->Increment();
-      return std::make_pair(it->second.entry, true);
-    }
-  }
-
-  // Miss: consult the victim tier and persistent storage outside the shard
-  // lock — loads can take milliseconds and must not block unrelated traffic
-  // on this shard.
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (miss_ != nullptr) miss_->Increment();
-
-  std::vector<bool> degraded;
-  std::vector<Result<ProfileData>> loaded =
-      LoadMisses({pid}, &degraded, std::numeric_limits<TimestampMs>::max());
-  if (loaded[0].ok()) {
-    return std::make_pair(
-        InsertLoaded(pid, std::move(loaded[0]).value(), degraded[0]), false);
-  }
-  if (!create_if_missing || !loaded[0].status().IsNotFound()) {
-    return loaded[0].status();  // unknown profile, storage unavailable etc.
-  }
-  return std::make_pair(
-      InsertLoaded(pid, ProfileData(options_.write_granularity_ms), false),
-      false);
-}
-
 GCache::EntryPtr GCache::InsertLoaded(ProfileId pid, ProfileData loaded,
                                       bool degraded) {
   LruShard& shard = *lru_shards_[LruIndex(pid)];
@@ -169,12 +130,14 @@ bool GCache::TryPromoteFromL2(ProfileId pid, ProfileData* out,
 }
 
 struct GCache::BatchScratch {
-  std::vector<EntryPtr> entries;
+  std::vector<EntryPtr> entries;  // aligned with the batch's pids
+  /// Occurrence indices the current resolve round covers.
+  std::vector<uint32_t> pending;
   /// (pid, occurrence index) per missing occurrence; sorted to group
   /// duplicates without a per-call hash map.
   std::vector<std::pair<ProfileId, uint32_t>> misses;
   std::vector<ProfileId> miss_pids;  // unique, in loader order
-  /// Phase-3 service order: occurrence indices grouped by entry.
+  /// Serve order: occurrence indices grouped by entry.
   std::vector<uint32_t> order;
 };
 
@@ -253,35 +216,32 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
   return results;
 }
 
-size_t GCache::WithProfiles(
-    const std::vector<ProfileId>& pids,
-    const std::function<void(size_t, const ProfileData&)>& fn,
-    std::vector<Status>* statuses, std::vector<bool>* out_degraded,
-    TimestampMs deadline_ms) {
+size_t GCache::ResolveEntries(const std::vector<ProfileId>& pids,
+                              bool create_if_missing, TimestampMs deadline_ms,
+                              BatchScratch& scratch,
+                              std::vector<Status>* statuses) {
   // Phase 1: partition into hits and misses against the shard maps — a
   // single hash probe per pid resolves the entry and its LRU position
   // together. Misses are coalesced (via sort, not a per-call hash map) so
   // each unique pid is loaded once even when the incoming batch carries
-  // duplicates. The cache.lookup span covers the scratch setup and this
-  // in-memory partition; the storage round trip (phase 2) reports itself as
-  // kv.load / codec.decode from the layers that do the work.
+  // duplicates. The cache.lookup span covers this in-memory partition; the
+  // storage round trip (phase 2) reports itself as kv.load / codec.decode
+  // from the layers that do the work.
   size_t hits = 0;
-  BatchScratch& scratch = ThreadBatchScratch();
   auto& entries = scratch.entries;
   auto& misses = scratch.misses;
   auto& miss_pids = scratch.miss_pids;
   {
     ScopedSpan lookup_span("cache.lookup");
-    statuses->assign(pids.size(), Status::OK());
-    if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
-    entries.assign(pids.size(), EntryPtr());
     misses.clear();
     miss_pids.clear();
-    for (size_t i = 0; i < pids.size(); ++i) {
+    for (const uint32_t i : scratch.pending) {
       const ProfileId pid = pids[i];
       LruShard& shard = *lru_shards_[LruIndex(pid)];
-      // Sketch bump outside the shard lock; every occurrence counts (see
-      // GetOrLoad).
+      // Every lookup — hit or miss, every occurrence — feeds the victim
+      // tier's admission sketch, outside the shard lock: a profile hot
+      // because it is L1-resident must still look hot to the admission
+      // check when it is eventually demoted.
       if (victim_cache_ != nullptr) victim_cache_->RecordAccess(pid);
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.map.find(pid);
@@ -291,7 +251,8 @@ size_t GCache::WithProfiles(
         ++hits;
         continue;
       }
-      misses.emplace_back(pid, static_cast<uint32_t>(i));
+      entries[i].reset();
+      misses.emplace_back(pid, i);
     }
     std::sort(misses.begin(), misses.end());
     for (const auto& [pid, i] : misses) {
@@ -310,82 +271,139 @@ size_t GCache::WithProfiles(
       batch_loads_->Increment();
     }
   }
+  if (miss_pids.empty()) return hits;
 
-  // Phase 2: one LoadMisses call covers every miss, outside all shard locks.
-  // With a broker behind the loader, concurrent requests' misses merge into
-  // one storage round trip and hot pids already on the wire are joined, not
-  // refetched.
-  if (!miss_pids.empty()) {
-    std::vector<bool> loaded_degraded;
-    std::vector<Result<ProfileData>> loaded =
-        LoadMisses(miss_pids, &loaded_degraded, deadline_ms);
-    // Integrating loaded profiles back into the shard maps (entry creation,
-    // LRU insert, accounting) is cache-index work like the phase-1 probe, so
-    // it reports under the same cache.lookup stage.
-    ScopedSpan insert_span("cache.lookup");
-    size_t cursor = 0;  // walks `misses`, whose pids ascend like miss_pids
-    for (size_t m = 0; m < miss_pids.size(); ++m) {
-      const ProfileId pid = miss_pids[m];
-      const size_t begin = cursor;
-      while (cursor < misses.size() && misses[cursor].first == pid) ++cursor;
-      if (m >= loaded.size() || !loaded[m].ok()) {
-        const Status status = m >= loaded.size()
-                                  ? Status::Internal("batch loader returned "
-                                                     "a short result list")
-                                  : loaded[m].status();
-        for (size_t x = begin; x < cursor; ++x) {
-          (*statuses)[misses[x].second] = status;
-        }
-        continue;
-      }
-      EntryPtr entry = InsertLoaded(pid, std::move(loaded[m]).value(),
-                                    loaded_degraded[m]);
-      for (size_t x = begin; x < cursor; ++x) {
+  // Phase 2: one LoadMisses call covers every miss, outside all shard locks
+  // (loads can take milliseconds and must not block unrelated traffic on a
+  // shard). With a broker behind the loader, concurrent requests' misses
+  // merge into one storage round trip and hot pids already on the wire are
+  // joined, not refetched. Store health is noted inside LoadMisses.
+  std::vector<bool> loaded_degraded;
+  std::vector<Result<ProfileData>> loaded =
+      LoadMisses(miss_pids, &loaded_degraded, deadline_ms);
+  // Integrating loaded profiles back into the shard maps (entry creation,
+  // LRU insert, accounting) is cache-index work like the phase-1 probe, so
+  // it reports under the same cache.lookup stage.
+  ScopedSpan insert_span("cache.lookup");
+  size_t cursor = 0;  // walks `misses`, whose pids ascend like miss_pids
+  for (size_t m = 0; m < miss_pids.size(); ++m) {
+    const ProfileId pid = miss_pids[m];
+    const size_t begin = cursor;
+    while (cursor < misses.size() && misses[cursor].first == pid) ++cursor;
+    EntryPtr entry;
+    if (loaded[m].ok()) {
+      entry = InsertLoaded(pid, std::move(loaded[m]).value(),
+                           loaded_degraded[m]);
+    } else if (create_if_missing && loaded[m].status().IsNotFound()) {
+      entry = InsertLoaded(pid, ProfileData(options_.write_granularity_ms),
+                           /*degraded=*/false);
+    }
+    for (size_t x = begin; x < cursor; ++x) {
+      if (entry) {
         entries[misses[x].second] = entry;
+      } else {
+        (*statuses)[misses[x].second] = loaded[m].status();
       }
     }
-    // Store health was already noted inside LoadMisses, judged only on the
-    // subset of misses that actually reached the loader (a victim-tier
-    // promotion says nothing about the store).
   }
+  return hits;
+}
 
-  // Phase 3: serve each present profile under its entry lock. Occurrences
-  // are grouped by entry so every entry is locked exactly ONCE per batch —
-  // duplicate pids share a single lock hold and get a stable reference for
-  // the whole group instead of re-locking per occurrence. Entries are still
-  // locked one at a time, so no lock-order concerns.
-  const bool store_unhealthy = StoreUnhealthy();
+size_t GCache::ServeBatch(const std::vector<ProfileId>& pids, bool mutate,
+                          const std::function<void(size_t, ProfileData&)>& fn,
+                          std::vector<Status>* statuses,
+                          std::vector<bool>* out_degraded,
+                          TimestampMs deadline_ms) {
+  BatchScratch& scratch = ThreadBatchScratch();
+  auto& entries = scratch.entries;
+  auto& pending = scratch.pending;
   auto& order = scratch.order;
   {
-    // Grouping occurrences by entry is cache-index bookkeeping, same stage
-    // as the phase-1 probe. The locked serve loop below is not spanned — it
-    // nests the caller's feature.compute spans.
-    ScopedSpan group_span("cache.lookup");
-    order.clear();
+    ScopedSpan setup_span("cache.lookup");
+    statuses->assign(pids.size(), Status::OK());
+    if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
+    entries.assign(pids.size(), EntryPtr());
+    pending.resize(pids.size());
     for (size_t i = 0; i < pids.size(); ++i) {
-      if (entries[i]) order.push_back(static_cast<uint32_t>(i));
+      pending[i] = static_cast<uint32_t>(i);
     }
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const Entry* ea = entries[a].get();
-      const Entry* eb = entries[b].get();
-      if (ea != eb) return ea < eb;
-      return a < b;  // per-entry occurrence order stays deterministic
-    });
   }
-  for (size_t x = 0; x < order.size();) {
-    Entry* const entry = entries[order[x]].get();
-    std::lock_guard<std::mutex> lock(entry->mu);
-    const bool degraded = entry->degraded || store_unhealthy;
-    do {
-      const uint32_t i = order[x];
-      fn(i, entry->profile);
-      if (out_degraded != nullptr) (*out_degraded)[i] = degraded;
-      ++x;
-    } while (x < order.size() && entries[order[x]].get() == entry);
+  size_t hits = 0;
+  while (!pending.empty()) {
+    hits += ResolveEntries(pids, /*create_if_missing=*/mutate, deadline_ms,
+                           scratch, statuses);
+    // Serve each present profile under its entry lock. Occurrences are
+    // grouped by entry so every entry is locked exactly ONCE per round —
+    // duplicate pids share a single lock hold, in input order, instead of
+    // re-locking per occurrence. Entries are still locked one at a time, so
+    // no lock-order concerns.
+    const bool store_unhealthy = StoreUnhealthy();
+    {
+      // Grouping occurrences by entry is cache-index bookkeeping, same stage
+      // as the probe. The locked serve loop below is not spanned — it nests
+      // the caller's feature.compute spans.
+      ScopedSpan group_span("cache.lookup");
+      order.clear();
+      for (const uint32_t i : pending) {
+        if (entries[i]) order.push_back(i);
+      }
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        const Entry* ea = entries[a].get();
+        const Entry* eb = entries[b].get();
+        if (ea != eb) return ea < eb;
+        return a < b;  // per-entry occurrence order is input order
+      });
+      pending.clear();
+    }
+    for (size_t x = 0; x < order.size();) {
+      Entry* const entry = entries[order[x]].get();
+      size_t end = x + 1;
+      while (end < order.size() && entries[order[end]].get() == entry) ++end;
+      std::lock_guard<std::mutex> lock(entry->mu);
+      if (mutate && entry->evicted) {
+        // Unmapped by eviction/Invalidate since the resolve: a write into
+        // it would be silently lost (no flush pass can reach it), so these
+        // occurrences go round again. Terminates in practice: the next
+        // resolve re-inserts the pid at the LRU front, where an eviction
+        // pass cannot reach it without first draining the whole shard.
+        pending.insert(pending.end(), order.begin() + x, order.begin() + end);
+        x = end;
+        continue;
+      }
+      const bool degraded = entry->degraded || store_unhealthy;
+      for (; x < end; ++x) {
+        fn(order[x], entry->profile);
+        if (out_degraded != nullptr) (*out_degraded)[order[x]] = degraded;
+      }
+      if (mutate) {
+        UpdateAccounting(*lru_shards_[LruIndex(entry->pid)], *entry);
+        MarkDirty(*entry);
+      }
+    }
   }
   // Drop the entry references before the next batch reuses the buffer.
   entries.clear();
   return hits;
+}
+
+size_t GCache::WithProfiles(
+    const std::vector<ProfileId>& pids,
+    const std::function<void(size_t, const ProfileData&)>& fn,
+    std::vector<Status>* statuses, std::vector<bool>* out_degraded,
+    TimestampMs deadline_ms) {
+  return ServeBatch(
+      pids, /*mutate=*/false,
+      [&fn](size_t i, ProfileData& profile) { fn(i, profile); }, statuses,
+      out_degraded, deadline_ms);
+}
+
+size_t GCache::WithProfilesMutable(
+    const std::vector<ProfileId>& pids,
+    const std::function<void(size_t, ProfileData&)>& fn,
+    std::vector<Status>* statuses) {
+  return ServeBatch(pids, /*mutate=*/true, fn, statuses,
+                    /*out_degraded=*/nullptr,
+                    std::numeric_limits<TimestampMs>::max());
 }
 
 void GCache::UpdateAccounting(LruShard& shard, Entry& entry) {
@@ -441,48 +459,6 @@ void GCache::NoteStoreHealth(const Status& status, StoreHealthSource source) {
   if (streak >= kPointHealthClearStreak) {
     point_success_streak_.store(0, std::memory_order_relaxed);
     store_unhealthy_.store(false, std::memory_order_relaxed);
-  }
-}
-
-Status GCache::WithProfile(ProfileId pid,
-                           const std::function<void(const ProfileData&)>& fn,
-                           bool* out_was_hit, bool* out_degraded) {
-  if (out_was_hit != nullptr) *out_was_hit = false;
-  if (out_degraded != nullptr) *out_degraded = false;
-  IPS_ASSIGN_OR_RETURN(auto pair, GetOrLoad(pid, /*create_if_missing=*/false));
-  auto& [entry, was_hit] = pair;
-  if (out_was_hit != nullptr) *out_was_hit = was_hit;
-  const bool store_unhealthy = StoreUnhealthy();
-  std::lock_guard<std::mutex> lock(entry->mu);
-  fn(entry->profile);
-  if (out_degraded != nullptr) {
-    *out_degraded = entry->degraded || store_unhealthy;
-  }
-  return Status::OK();
-}
-
-Status GCache::WithProfileMutable(
-    ProfileId pid, const std::function<void(ProfileData&)>& fn,
-    bool* out_was_hit) {
-  if (out_was_hit != nullptr) *out_was_hit = false;
-  LruShard& shard = *lru_shards_[LruIndex(pid)];
-  // Retry loop: between GetOrLoad handing back the entry and this thread
-  // acquiring its lock, a concurrent eviction/Invalidate may have unmapped
-  // it. Writing into an unmapped entry would be silently lost (no flush pass
-  // can reach it), so re-resolve instead. Terminates in practice: each retry
-  // re-inserts the entry at the LRU front, where an eviction pass cannot
-  // reach it without first draining the whole shard.
-  while (true) {
-    IPS_ASSIGN_OR_RETURN(auto pair,
-                         GetOrLoad(pid, /*create_if_missing=*/true));
-    auto& [entry, was_hit] = pair;
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->evicted) continue;
-    if (out_was_hit != nullptr) *out_was_hit = was_hit;
-    fn(entry->profile);
-    UpdateAccounting(shard, *entry);
-    MarkDirty(*entry);
-    return Status::OK();
   }
 }
 

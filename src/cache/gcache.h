@@ -10,10 +10,13 @@
 //     to the key-value store; the flush-thread count is a multiple of the
 //     dirty-shard count so every shard has dedicated threads.
 //
-// Persistence and load are injected as ONE batch load callable and ONE
-// batch store callable, so this layer stays independent of the codec/kvstore
-// choices (bulk vs slice-split modes both plug in here) and of whether a
-// coalescing broker sits in front of the persister.
+// Serving reaches entries through ONE batch resolve: WithProfiles (reads)
+// and WithProfilesMutable (writes) share it, and the single-profile calls
+// are batches of one, so every miss of a request — read or write — costs
+// one loader call. Persistence and load are injected as ONE batch load
+// callable and ONE batch store callable, so this layer stays independent of
+// the codec/kvstore choices (bulk vs slice-split modes both plug in here)
+// and of whether a coalescing broker sits in front of the persister.
 #ifndef IPS_CACHE_GCACHE_H_
 #define IPS_CACHE_GCACHE_H_
 
@@ -116,38 +119,66 @@ class GCache {
   GCache(const GCache&) = delete;
   GCache& operator=(const GCache&) = delete;
 
-  /// Read path: runs `fn` with shared (entry-locked) access to the profile.
-  /// On miss the loader is consulted (as a batch of one); NotFound from the
-  /// loader is returned to the caller (queries on unknown profiles are
-  /// empty, handled above).
-  /// `out_was_hit`, when non-null, reports whether this was a cache hit —
-  /// the Table II latency split keys on it. `out_degraded`, when non-null,
-  /// reports whether the served profile may be stale: it was loaded from a
-  /// fallback replica, or the backing store is currently unhealthy (the
-  /// resident copy cannot be revalidated or flushed).
-  Status WithProfile(ProfileId pid,
-                     const std::function<void(const ProfileData&)>& fn,
-                     bool* out_was_hit = nullptr,
-                     bool* out_degraded = nullptr);
-
-  /// Batch read path (the spine of MultiQuery): partitions `pids` into
-  /// cache hits and misses, satisfies ALL misses with one loader call, then
-  /// runs `fn(index, profile)` under the entry lock for every present
+  /// Batch read path (the spine of MultiQuery): resolves every pid to its
+  /// entry — hits against the shard maps, ALL misses with one loader call —
+  /// then runs `fn(index, profile)` under the entry lock for every present
   /// profile. `statuses` aligns with `pids`; unknown profiles get NotFound
   /// and no callback. Duplicate pids are coalesced for loading but each
   /// occurrence gets its own callback and status; occurrences of the same
-  /// pid are served back-to-back under ONE entry lock hold (callbacks are
-  /// grouped by entry, not issued in strict input order). Returns the
-  /// number of cache hits.
-  /// `out_degraded`, when non-null, is filled aligned with `pids`; same
-  /// staleness contract as WithProfile. `deadline_ms` is handed to the
-  /// loader (see BatchLoadFn).
+  /// pid are served back-to-back, in input order, under ONE entry lock hold
+  /// (callbacks are grouped by entry, not issued in strict input order).
+  /// Returns the number of cache hits. `fn` runs under the entry lock and
+  /// must not call back into the cache.
+  /// `out_degraded`, when non-null, is filled aligned with `pids` and flags
+  /// profiles that may be stale: loaded from a fallback replica, or served
+  /// while the backing store is unhealthy (the resident copy cannot be
+  /// revalidated or flushed). `deadline_ms` is handed to the loader (see
+  /// BatchLoadFn).
   size_t WithProfiles(const std::vector<ProfileId>& pids,
                       const std::function<void(size_t, const ProfileData&)>& fn,
                       std::vector<Status>* statuses,
                       std::vector<bool>* out_degraded = nullptr,
                       TimestampMs deadline_ms =
                           std::numeric_limits<TimestampMs>::max());
+
+  /// Batch write path (MultiAdd, the isolation merge): the write twin of
+  /// WithProfiles. A pid the loader reports NotFound is created as an empty
+  /// profile; any other load failure lands in its status with no callback.
+  /// Each entry is locked once, its occurrences applied in input order, then
+  /// re-measured and marked dirty once. Writes give the loader no deadline.
+  /// Returns the number of cache hits.
+  size_t WithProfilesMutable(const std::vector<ProfileId>& pids,
+                             const std::function<void(size_t, ProfileData&)>& fn,
+                             std::vector<Status>* statuses);
+
+  /// Read path for one profile: a batch of one over WithProfiles.
+  /// `out_was_hit`, when non-null, reports whether this was a cache hit —
+  /// the Table II latency split keys on it; `out_degraded` as WithProfiles.
+  Status WithProfile(ProfileId pid,
+                     const std::function<void(const ProfileData&)>& fn,
+                     bool* out_was_hit = nullptr,
+                     bool* out_degraded = nullptr) {
+    std::vector<Status> statuses;
+    std::vector<bool> degraded;
+    const size_t hits = WithProfiles(
+        {pid}, [&fn](size_t, const ProfileData& profile) { fn(profile); },
+        &statuses, &degraded);
+    if (out_was_hit != nullptr) *out_was_hit = hits > 0;
+    if (out_degraded != nullptr) *out_degraded = degraded[0];
+    return statuses[0];
+  }
+
+  /// Write path for one profile: a batch of one over WithProfilesMutable.
+  Status WithProfileMutable(ProfileId pid,
+                            const std::function<void(ProfileData&)>& fn,
+                            bool* out_was_hit = nullptr) {
+    std::vector<Status> statuses;
+    const size_t hits = WithProfilesMutable(
+        {pid}, [&fn](size_t, ProfileData& profile) { fn(profile); },
+        &statuses);
+    if (out_was_hit != nullptr) *out_was_hit = hits > 0;
+    return statuses[0];
+  }
 
   /// Installs the compressed L2 victim tier (non-owning; must outlive the
   /// cache) together with the codec callbacks that translate between
@@ -167,12 +198,6 @@ class GCache {
     victim_decode_ = std::move(decode);
   }
 
-  /// Write path: runs `fn` with exclusive access, creating the profile when
-  /// absent (after a load attempt), then marks the entry dirty.
-  Status WithProfileMutable(ProfileId pid,
-                            const std::function<void(ProfileData&)>& fn,
-                            bool* out_was_hit = nullptr);
-
   /// Maintenance write path (compaction): snapshots the profile under the
   /// entry lock, runs `work` on the snapshot with NO lock held, then commits
   /// the result back under the lock — but only if the entry's mutation
@@ -185,7 +210,7 @@ class GCache {
   /// re-triggers. `work` returns false to abandon the pass (nothing to
   /// change); the entry is left untouched and OK is returned.
   ///
-  /// Unlike WithProfileMutable this never faults the profile in from
+  /// Unlike WithProfilesMutable this never faults the profile in from
   /// storage: NotFound for non-resident pids. Compacting an uncached
   /// profile would drag cold data into memory just to shrink it; persisted
   /// slices get compacted when real traffic next loads them.
@@ -261,8 +286,8 @@ class GCache {
     /// Set (under mu) when the entry is removed from its shard map by
     /// eviction or Invalidate. A mutator holding a stale EntryPtr from
     /// before the removal must NOT write into it — the entry is unmapped,
-    /// nothing would ever flush the write — so WithProfileMutable rechecks
-    /// this after locking and retries its lookup instead.
+    /// nothing would ever flush the write — so the write path rechecks this
+    /// after locking and resolves the pid again instead.
     bool evicted = false;
 
     Entry(ProfileId id, ProfileData data)
@@ -299,11 +324,6 @@ class GCache {
   size_t LruIndex(ProfileId pid) const;
   size_t DirtyIndex(ProfileId pid) const;
 
-  /// Finds or creates the entry; returns (entry, was_hit). A miss goes
-  /// through LoadMisses outside all shard locks.
-  Result<std::pair<EntryPtr, bool>> GetOrLoad(ProfileId pid,
-                                              bool create_if_missing);
-
   /// Loads `pids` (unique, sorted): victim-tier promotions first, the loader
   /// for the rest. Results and `out_degraded` align with `pids`. The single
   /// funnel for every miss in the cache.
@@ -322,10 +342,32 @@ class GCache {
   /// the stored iterator: no second hash probe.
   void TouchLru(LruShard& shard, LruShard::Slot& slot);
 
-  /// Reusable per-thread buffers for WithProfiles, so the warm batch read
-  /// path does no steady-state allocation of its own.
+  /// Reusable per-thread buffers for the batch paths, so the warm batch
+  /// read path does no steady-state allocation of its own.
   struct BatchScratch;
   static BatchScratch& ThreadBatchScratch();
+
+  /// The one routine that turns pids into entries for serving: probes the
+  /// shard maps for the occurrences in `scratch.pending` (one hash probe
+  /// each, plus the victim-sketch bump), counts cache.hit / cache.miss /
+  /// cache.batch_loads, loads every unique miss with ONE LoadMisses call
+  /// outside all shard locks and inserts what came back. Fills
+  /// `scratch.entries[i]`, or `(*statuses)[i]` when the pid cannot be
+  /// served. With `create_if_missing` (writes) a NotFound load becomes an
+  /// empty profile; without it (reads) NotFound is reported. Returns hits.
+  size_t ResolveEntries(const std::vector<ProfileId>& pids,
+                        bool create_if_missing, TimestampMs deadline_ms,
+                        BatchScratch& scratch, std::vector<Status>* statuses);
+
+  /// The grouped serve loop behind WithProfiles (`mutate` false) and
+  /// WithProfilesMutable (`mutate` true). With `mutate`, an occurrence whose
+  /// entry was unmapped (Entry::evicted) between resolve and lock is
+  /// resolved again in a further round instead of written into the dead
+  /// entry.
+  size_t ServeBatch(const std::vector<ProfileId>& pids, bool mutate,
+                    const std::function<void(size_t, ProfileData&)>& fn,
+                    std::vector<Status>* statuses,
+                    std::vector<bool>* out_degraded, TimestampMs deadline_ms);
 
   /// Re-measures entry bytes (entry lock held) and fixes accounting.
   void UpdateAccounting(LruShard& shard, Entry& entry);

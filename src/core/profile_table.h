@@ -1,8 +1,8 @@
 // Profile Table (Section III-B): the logical container mapping profile IDs
-// to profile data, sharded by hashed profile id. This is the plain in-memory
-// table used directly by the library API and by the write-isolation side
-// table; the serving path wraps profiles in the GCache layer (src/cache) for
-// LRU/dirty management.
+// to profile data, sharded by hashed profile id. Its one user is the
+// read-write isolation write buffer (Section III-F) in IpsInstance; the
+// serving path wraps profiles in the GCache layer (src/cache) for LRU/dirty
+// management.
 #ifndef IPS_CORE_PROFILE_TABLE_H_
 #define IPS_CORE_PROFILE_TABLE_H_
 
@@ -10,49 +10,32 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/status.h"
 #include "core/profile_data.h"
-#include "core/table_schema.h"
 #include "core/types.h"
 
 namespace ips {
 
 class ProfileTable {
  public:
-  /// `num_shards` must be a power of two.
-  explicit ProfileTable(TableSchema schema, size_t num_shards = 16);
-
-  const TableSchema& schema() const { return schema_; }
-
-  /// Records one observation (the add_profile API of Section II-B).
-  Status Add(ProfileId pid, TimestampMs timestamp, SlotId slot, TypeId type,
-             FeatureId fid, const CountVector& counts);
-
-  /// Runs `fn` with shared access to the profile; returns NotFound when the
-  /// profile does not exist.
-  Status WithProfile(ProfileId pid,
-                     const std::function<void(const ProfileData&)>& fn) const;
+  /// `num_shards` must be a power of two. Profiles created on first touch
+  /// use `write_granularity_ms` slices.
+  explicit ProfileTable(TimestampMs write_granularity_ms,
+                        size_t num_shards = 16);
 
   /// Runs `fn` with exclusive access, creating the profile when absent.
   void WithProfileMutable(ProfileId pid,
                           const std::function<void(ProfileData&)>& fn);
 
-  /// Removes a profile entirely; returns whether it existed.
-  bool Erase(ProfileId pid);
-
-  bool Contains(ProfileId pid) const;
   size_t ProfileCount() const;
-  size_t ApproximateBytes() const;
 
-  /// Visits every profile (exclusive per-shard lock); used by the isolation
-  /// merge and by bulk persistence sweeps.
-  void ForEach(const std::function<void(ProfileId, ProfileData&)>& fn);
-
-  /// Removes all profiles (the write-table drain after an isolation merge).
-  void Clear();
+  /// Removes and returns every profile (the isolation merge). Each shard's
+  /// map is swapped out under that shard's lock, so a write either lands
+  /// before the swap and is returned, or after it and stays in the table.
+  std::vector<std::pair<ProfileId, ProfileData>> TakeAll();
 
  private:
   struct Shard {
@@ -60,14 +43,7 @@ class ProfileTable {
     std::unordered_map<ProfileId, ProfileData> profiles;
   };
 
-  Shard& ShardFor(ProfileId pid) {
-    return *shards_[Mix64(pid) & shard_mask_];
-  }
-  const Shard& ShardFor(ProfileId pid) const {
-    return *shards_[Mix64(pid) & shard_mask_];
-  }
-
-  TableSchema schema_;
+  TimestampMs write_granularity_ms_;
   size_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -7,6 +7,17 @@
 
 namespace ips {
 
+namespace {
+
+void ApplyRecords(ProfileData& profile, const std::vector<AddRecord>& records,
+                  ReduceFn reduce) {
+  for (const auto& r : records) {
+    profile.Add(r.timestamp, r.slot, r.type, r.fid, r.counts, reduce).ok();
+  }
+}
+
+}  // namespace
+
 IpsInstance::IpsInstance(IpsInstanceOptions options, KvStore* kv, Clock* clock,
                          MetricsRegistry* metrics)
     : options_(options),
@@ -166,7 +177,8 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
       },
       metrics_);
 
-  table->write_table = std::make_unique<ProfileTable>(schema, /*shards=*/8);
+  table->write_table = std::make_unique<ProfileTable>(
+      schema.write_granularity_ms, /*num_shards=*/8);
 
   std::lock_guard<std::mutex> lock(tables_mu_);
   auto [it, inserted] = tables_.try_emplace(schema.name, std::move(table));
@@ -240,11 +252,8 @@ Status IpsInstance::AddProfiles(const std::string& caller,
                                 const std::string& table, ProfileId pid,
                                 const std::vector<AddRecord>& records,
                                 const CallContext& ctx) {
-  const int64_t begin_ns = MonotonicNanos();
   IPS_ASSIGN_OR_RETURN(MultiAddResult batch,
                        MultiAdd(caller, table, {{pid, records}}, ctx));
-  metrics_->GetHistogram("server.add_micros")
-      ->Record((MonotonicNanos() - begin_ns) / 1000);
   return batch.statuses[0];
 }
 
@@ -256,6 +265,7 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
   TraceInstallScope trace_install(ctx.trace);
   ScopedSpan server_span("server.add");
   Table* t = nullptr;
+  ReduceFn reduce;
   {
     // Same admission shape as MultiQuery: deadline, then the overload
     // controller, then ONE quota charge for the whole batch — a 256-profile
@@ -271,25 +281,60 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
     if (items.empty()) return Status::InvalidArgument("empty add batch");
     t = FindTable(table);
     if (t == nullptr) return Status::NotFound("table " + table);
+
+    std::lock_guard<std::mutex> schema_lock(t->schema_mu);
+    reduce = t->schema.reduce;
     overload_.RecordQueueSample((MonotonicNanos() - admit_ns) / 1000);
   }
 
   const int64_t begin_ns = MonotonicNanos();
+  // Where the items go is decided once per request. With isolation on they
+  // land in the write table — unless it is over its hard memory cap
+  // (Section III-F), in which case they go to the cache directly rather
+  // than grow the buffer without bound.
   const bool isolated = isolation_enabled_.load(std::memory_order_relaxed);
+  const bool overflow =
+      isolated && t->write_table_bytes.load(std::memory_order_relaxed) >
+                      options_.isolation_memory_limit_bytes;
   MultiAddResult out;
   out.statuses.assign(items.size(), Status::OK());
-  int64_t ok_records = 0;
-  int64_t error_items = 0;
+  std::vector<size_t> direct;  // items applied to the cache
+  std::vector<ProfileId> direct_pids;
   for (size_t i = 0; i < items.size(); ++i) {
     if (items[i].records.empty()) {
       out.statuses[i] = Status::InvalidArgument("empty record batch");
-      ++error_items;
-      continue;
+    } else if (isolated && !overflow) {
+      BufferWrite(*t, items[i].pid, [&](ProfileData& profile) {
+        ApplyRecords(profile, items[i].records, reduce);
+      });
+    } else {
+      direct.push_back(i);
+      direct_pids.push_back(items[i].pid);
     }
-    Status status = isolated ? AddIsolated(*t, items[i].pid, items[i].records)
-                             : AddDirect(*t, items[i].pid, items[i].records);
-    out.statuses[i] = status;
-    if (status.ok()) {
+  }
+  if (!direct.empty()) {
+    if (overflow) {
+      metrics_->GetCounter("isolation.overflow")
+          ->Increment(static_cast<int64_t>(direct.size()));
+    }
+    // One batch write: every non-resident pid of the request is loaded in
+    // one loader call.
+    std::vector<Status> statuses;
+    t->cache->WithProfilesMutable(
+        direct_pids,
+        [&](size_t j, ProfileData& profile) {
+          ApplyRecords(profile, items[direct[j]].records, reduce);
+        },
+        &statuses);
+    for (size_t j = 0; j < direct.size(); ++j) {
+      out.statuses[direct[j]] = statuses[j];
+      if (statuses[j].ok()) t->compaction->MaybeTrigger(direct_pids[j]);
+    }
+  }
+  int64_t ok_records = 0;
+  int64_t error_items = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (out.statuses[i].ok()) {
       ++out.ok_items;
       ok_records += static_cast<int64_t>(items[i].records.size());
     } else {
@@ -311,67 +356,57 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
   return out;
 }
 
-Status IpsInstance::AddDirect(Table& t, ProfileId pid,
-                              const std::vector<AddRecord>& records) {
-  Status status = t.cache->WithProfileMutable(pid, [&](ProfileData& profile) {
-    std::lock_guard<std::mutex> schema_lock(t.schema_mu);
-    for (const auto& r : records) {
-      profile.Add(r.timestamp, r.slot, r.type, r.fid, r.counts,
-                  t.schema.reduce)
-          .ok();
-    }
-  });
-  if (status.ok()) t.compaction->MaybeTrigger(pid);
-  return status;
-}
-
-Status IpsInstance::AddIsolated(Table& t, ProfileId pid,
-                                const std::vector<AddRecord>& records) {
-  // Hard cap on the write table's memory (Section III-F): if the buffer is
-  // full, fall back to the direct path rather than grow without bound.
-  if (t.write_table_bytes.load(std::memory_order_relaxed) >
-      options_.isolation_memory_limit_bytes) {
-    metrics_->GetCounter("isolation.overflow")->Increment();
-    return AddDirect(t, pid, records);
-  }
+void IpsInstance::BufferWrite(Table& t, ProfileId pid,
+                              const std::function<void(ProfileData&)>& fn) {
   size_t added_bytes = 0;
   t.write_table->WithProfileMutable(pid, [&](ProfileData& profile) {
     const size_t before = profile.ApproximateBytes();
-    for (const auto& r : records) {
-      profile.Add(r.timestamp, r.slot, r.type, r.fid, r.counts,
-                  t.schema.reduce)
-          .ok();
-    }
+    fn(profile);
     added_bytes = profile.ApproximateBytes() - before;
   });
   t.write_table_bytes.fetch_add(added_bytes, std::memory_order_relaxed);
-  return Status::OK();
 }
 
 size_t IpsInstance::MergeWriteTable(Table& t) {
-  // Swap out the accumulated buffer, then fold it into the cached profiles
-  // using the table's aggregate function. The swap keeps the write path
-  // available during the merge.
-  std::vector<std::pair<ProfileId, ProfileData>> pending;
-  t.write_table->ForEach([&](ProfileId pid, ProfileData& profile) {
-    pending.emplace_back(pid, std::move(profile));
-  });
-  t.write_table->Clear();
+  // Take the accumulated buffer — each shard's map is swapped out under its
+  // own lock, so a write landing mid-merge stays buffered for the next
+  // merge and the write path stays available — then fold it into the
+  // cached profiles with ONE batch write using the table's aggregate
+  // function.
+  std::vector<std::pair<ProfileId, ProfileData>> pending =
+      t.write_table->TakeAll();
   t.write_table_bytes.store(0, std::memory_order_relaxed);
-
-  for (auto& [pid, buffered] : pending) {
-    t.cache
-        ->WithProfileMutable(pid,
-                             [&](ProfileData& profile) {
-                               std::lock_guard<std::mutex> schema_lock(
-                                   t.schema_mu);
-                               profile.MergeProfile(buffered,
-                                                    t.schema.reduce);
-                             })
-        .ok();
-    t.compaction->MaybeTrigger(pid);
+  if (pending.empty()) return 0;
+  ReduceFn reduce;
+  {
+    std::lock_guard<std::mutex> schema_lock(t.schema_mu);
+    reduce = t.schema.reduce;
   }
-  return pending.size();
+  std::vector<ProfileId> pids;
+  pids.reserve(pending.size());
+  for (const auto& [pid, buffered] : pending) pids.push_back(pid);
+  std::vector<Status> statuses;
+  t.cache->WithProfilesMutable(
+      pids,
+      [&](size_t i, ProfileData& profile) {
+        profile.MergeProfile(pending[i].second, reduce);
+      },
+      &statuses);
+  size_t merged = 0;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    if (statuses[i].ok()) {
+      ++merged;
+      t.compaction->MaybeTrigger(pids[i]);
+      continue;
+    }
+    // The pid could not be loaded (e.g. storage down): put its records back
+    // so the next merge retries them instead of dropping acknowledged
+    // writes.
+    BufferWrite(t, pids[i], [&](ProfileData& profile) {
+      profile.MergeProfile(pending[i].second, reduce);
+    });
+  }
+  return merged;
 }
 
 size_t IpsInstance::MergeWriteTablesOnce() {
@@ -393,21 +428,10 @@ Result<QueryResult> IpsInstance::Query(const std::string& caller,
                                        const std::string& table,
                                        ProfileId pid, const QuerySpec& spec,
                                        const CallContext& ctx) {
-  const int64_t begin_ns = MonotonicNanos();
   IPS_ASSIGN_OR_RETURN(
       MultiQueryResult batch,
       MultiQuery(caller, table, std::span<const ProfileId>(&pid, 1), spec,
                  ctx));
-
-  // Point-read bookkeeping after the batch path returns is server overhead;
-  // attribute it so the traced stage sum stays honest.
-  ScopedSpan record_span("server.queue");
-  const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
-  metrics_->GetHistogram("server.query_micros")->Record(micros);
-  metrics_->GetHistogram(batch.cache_hits > 0 ? "server.query_micros_hit"
-                                              : "server.query_micros_miss")
-      ->Record(micros);
-
   IPS_RETURN_IF_ERROR(batch.statuses[0]);
   return std::move(batch.results[0]);
 }
@@ -738,7 +762,9 @@ void IpsInstance::MergerLoop() {
         lock,
         std::chrono::milliseconds(options_.isolation_merge_interval_ms));
     if (shutdown_.load(std::memory_order_relaxed)) return;
-    if (!isolation_enabled_.load(std::memory_order_relaxed)) continue;
+    // Merges even while isolation is off: a merge that could not reach the
+    // store puts its records back, and they must not be stranded. An empty
+    // write table makes the tick a cheap no-op.
     lock.unlock();
     MergeWriteTablesOnce();
     lock.lock();

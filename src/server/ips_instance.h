@@ -6,7 +6,7 @@
 // Read-write isolation (Section III-F): when enabled, add_profile requests
 // land in a lightweight write-only ProfileTable; a merger thread folds the
 // write table into the main (cached) table every few seconds with the
-// table's aggregate function. This keeps write traffic off the main table's
+// table's aggregate function, as one batch write. This keeps write traffic off the main table's
 // entry locks at the cost of a small data-visibility delay and extra memory,
 // both bounded by configuration. A hot switch toggles the feature at runtime.
 #ifndef IPS_SERVER_IPS_INSTANCE_H_
@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -171,8 +172,11 @@ class IpsInstance {
                      const CallContext& ctx);
 
   /// Batched write path (the ingestion hot path, mirroring MultiQuery): one
-  /// deadline check and ONE quota charge for the whole batch, then each
-  /// item's records are applied under its profile's entry lock. Statuses
+  /// deadline check and ONE quota charge for the whole batch. With isolation
+  /// on each item is buffered in the write table; otherwise (or when the
+  /// write table is over its cap) all items are applied through ONE
+  /// GCache::WithProfilesMutable batch — one loader call for every
+  /// non-resident pid of the request. Statuses
   /// align with `items`; a batch can partially succeed. The dirty entries it
   /// creates are later drained in batched flushes (one KvStore::MultiSet per
   /// flush group).
@@ -249,7 +253,8 @@ class IpsInstance {
   }
 
   /// Merges all tables' write tables into their main tables; returns
-  /// profiles merged. Normally driven by the background merger thread.
+  /// profiles merged. Normally driven by the background merger thread every
+  /// isolation_merge_interval_ms, whether or not isolation is on.
   size_t MergeWriteTablesOnce();
 
   /// Flushes every dirty cache entry (shutdown / controlled failover).
@@ -327,10 +332,13 @@ class IpsInstance {
   /// request is rejected before any cache/storage work.
   Status CheckDeadline(const CallContext& ctx);
 
-  Status AddDirect(Table& t, ProfileId pid,
-                   const std::vector<AddRecord>& records);
-  Status AddIsolated(Table& t, ProfileId pid,
-                     const std::vector<AddRecord>& records);
+  /// Applies `fn` to `pid`'s profile in the isolation write table and
+  /// accounts the bytes it added.
+  void BufferWrite(Table& t, ProfileId pid,
+                   const std::function<void(ProfileData&)>& fn);
+  /// Folds the write table into the cache in one batch write; returns the
+  /// profiles merged. Pids the cache could not load go back into the write
+  /// table for the next merge.
   size_t MergeWriteTable(Table& t);
 
   void MergerLoop();

@@ -292,6 +292,80 @@ TEST(GCacheTest, WithProfilesCoalescesDuplicatePids) {
   for (const auto& status : statuses) EXPECT_TRUE(status.ok());
 }
 
+TEST(GCacheTest, WithProfilesMutableResolvesTheBatchInOneLoaderCall) {
+  // The write twin of WithProfiles: a resident pid (1), a persisted one
+  // (2), a never-written one (3) and one whose load fails (4) cost ONE
+  // loader call. NotFound is created empty and dirty, Unavailable gets its
+  // own status and no entry, duplicates are applied in input order.
+  FakeStore store;
+  {
+    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
+                   store.Loader());
+    ASSERT_TRUE(seeding
+                    .WithProfileMutable(2,
+                                        [](ProfileData& profile) {
+                                          profile
+                                              .Add(kMinute, 1, 1, 200,
+                                                   CountVector{1})
+                                              .ok();
+                                        })
+                    .ok());
+    seeding.FlushAll();
+  }
+  std::vector<std::vector<ProfileId>> batches;
+  PointLoadFn loader = store.PointLoader();
+  GCache cache(
+      ManualOptions(), SystemClock::Instance(), store.Flusher(),
+      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
+          TimestampMs) -> std::vector<Result<ProfileData>> {
+        batches.push_back(pids);
+        out_degraded->assign(pids.size(), false);
+        std::vector<Result<ProfileData>> out;
+        for (ProfileId pid : pids) {
+          out.push_back(pid == 4 ? Result<ProfileData>(
+                                       Status::Unavailable("injected"))
+                                 : loader(pid, nullptr));
+        }
+        return out;
+      });
+  ASSERT_TRUE(cache.WithProfileMutable(1, [](ProfileData&) {}).ok());
+  cache.FlushAll();
+  batches.clear();
+
+  const std::vector<ProfileId> pids = {1, 2, 3, 4, 3, 1};
+  std::vector<size_t> applied;
+  std::vector<Status> statuses;
+  const size_t hits = cache.WithProfilesMutable(
+      pids,
+      [&](size_t i, ProfileData& profile) {
+        applied.push_back(i);
+        profile.Add(kMinute, 1, 1, 10 + i, CountVector{1}).ok();
+      },
+      &statuses);
+
+  EXPECT_EQ(hits, 2u);  // both occurrences of pid 1
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0], (std::vector<ProfileId>{2, 3, 4}));
+  ASSERT_EQ(statuses.size(), pids.size());
+  for (size_t i : {0, 1, 2, 4, 5}) EXPECT_TRUE(statuses[i].ok()) << i;
+  EXPECT_TRUE(statuses[3].IsUnavailable());
+  ASSERT_EQ(applied.size(), 5u);
+  EXPECT_EQ(std::count(applied.begin(), applied.end(), 3u), 0);
+  // Occurrences of one pid run in input order.
+  auto pos = [&](size_t i) {
+    return std::find(applied.begin(), applied.end(), i) - applied.begin();
+  };
+  EXPECT_LT(pos(0), pos(5));
+  EXPECT_LT(pos(2), pos(4));
+  EXPECT_EQ(cache.EntryCount(), 3u);  // no entry for the failed pid
+  EXPECT_EQ(cache.DirtyCount(), 3u);
+  EXPECT_EQ(cache.FlushOnce(), 3u);
+  EXPECT_EQ(store.Get(1).TotalFeatures(), 2u);
+  EXPECT_EQ(store.Get(2).TotalFeatures(), 2u);  // loaded, then written
+  EXPECT_EQ(store.Get(3).TotalFeatures(), 2u);  // created empty
+  EXPECT_FALSE(store.Has(4));
+}
+
 TEST(GCacheTest, MemoryUsageRatioZeroLimitIsZeroNotNan) {
   FakeStore store;
   GCacheOptions options = ManualOptions();

@@ -1,6 +1,7 @@
 #include "server/ips_instance.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <thread>
 
@@ -45,6 +46,22 @@ class IpsInstanceTest : public ::testing::Test {
     return instance_.GetProfileTopK("test", "profiles", pid, slot,
                                     std::nullopt, TimeRange::Current(window),
                                     SortBy::kActionCount, 0, k);
+  }
+
+  // Writes one record to each pid through a second instance over the same
+  // KV and flushes it, so the pids are persisted but not resident in
+  // `instance_`.
+  void PersistThroughOtherInstance(const std::vector<ProfileId>& pids) {
+    IpsInstance other(ManualInstanceOptions(), &kv_, &clock_);
+    ASSERT_TRUE(other.CreateTable(TestSchema()).ok());
+    for (ProfileId pid : pids) {
+      ASSERT_TRUE(other
+                      .AddProfile("test", "profiles", pid,
+                                  clock_.NowMs() - kMinute, 1, 1, pid,
+                                  CountVector{1})
+                      .ok());
+    }
+    other.FlushAll();
   }
 
   MemKvStore kv_;
@@ -717,17 +734,118 @@ TEST_F(IpsInstanceTest, TableStatsReflectCache) {
   EXPECT_TRUE(instance_.GetTableStats("nope").status().IsNotFound());
 }
 
-TEST_F(IpsInstanceTest, ServerLatencyMetricsSplitHitMiss) {
+TEST_F(IpsInstanceTest, MultiAddLoadsNonResidentPidsInOneKvMultiGet) {
+  // Isolation off: the direct items of one MultiAdd ride ONE batch write,
+  // so 8 persisted-but-not-resident pids cost one KvStore::MultiGet, not
+  // one load per pid.
+  std::vector<ProfileId> pids = {1, 2, 3, 4, 5, 6, 7, 8};
+  PersistThroughOtherInstance(pids);
+  const TimestampMs now = clock_.NowMs();
+  std::vector<MultiAddItem> items;
+  for (ProfileId pid : pids) {
+    items.push_back({pid, {{now - kMinute, 1, 1, pid + 100, CountVector{1}}}});
+  }
+  const int64_t multi_gets_before = kv_.MultiGetCalls();
+  auto batch = instance_.MultiAdd("test", "profiles", items);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->ok_items, pids.size());
+  EXPECT_EQ(kv_.MultiGetCalls() - multi_gets_before, 1);
+  // Each write landed on top of the loaded profile, not a fresh one.
+  for (ProfileId pid : pids) {
+    auto result = TopK(pid, 1, 10);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->features.size(), 2u) << "pid " << pid;
+  }
+}
+
+TEST_F(IpsInstanceTest, MergeLoadsNonResidentPidsInOneKvMultiGet) {
+  std::vector<ProfileId> pids = {1, 2, 3, 4, 5, 6, 7, 8};
+  PersistThroughOtherInstance(pids);
+  instance_.SetIsolationEnabled(true);
+  const TimestampMs now = clock_.NowMs();
+  for (ProfileId pid : pids) {
+    ASSERT_TRUE(instance_
+                    .AddProfile("test", "profiles", pid, now - kMinute, 1, 1,
+                                pid + 100, CountVector{1})
+                    .ok());
+  }
+  const int64_t multi_gets_before = kv_.MultiGetCalls();
+  EXPECT_EQ(instance_.MergeWriteTablesOnce(), pids.size());
+  EXPECT_EQ(kv_.MultiGetCalls() - multi_gets_before, 1);
+  for (ProfileId pid : pids) {
+    auto result = TopK(pid, 1, 10);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->features.size(), 2u) << "pid " << pid;
+  }
+}
+
+TEST_F(IpsInstanceTest, MergeKeepsBufferedRecordsWhileStoreIsDown) {
+  // A buffered pid that is not resident must be loaded before the merge can
+  // fold into it. With the KV down that load fails; the acknowledged
+  // records go back into the write table instead of being dropped.
+  instance_.SetIsolationEnabled(true);
   const TimestampMs now = clock_.NowMs();
   ASSERT_TRUE(instance_
-                  .AddProfile("test", "profiles", 1, now - kMinute, 1, 1, 1,
-                              CountVector{1})
+                  .AddProfile("test", "profiles", 21, now - kMinute, 1, 1, 5,
+                              CountVector{3})
                   .ok());
-  TopK(1, 1, 10).ok();  // hit (just written)
-  instance_.FlushAll();
-  EXPECT_GT(
-      instance_.metrics()->GetHistogram("server.query_micros_hit")->count(),
-      0);
+  kv_.SetDown(true);
+  EXPECT_EQ(instance_.MergeWriteTablesOnce(), 0u);
+  auto stats = instance_.GetTableStats("profiles");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->write_table_profiles, 1u);
+  EXPECT_GT(stats->write_table_bytes, 0u);
+  kv_.SetDown(false);
+  EXPECT_EQ(instance_.MergeWriteTablesOnce(), 1u);
+  auto result = TopK(21, 1, 10);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->features.size(), 1u);
+  EXPECT_EQ(result->features[0].fid, 5u);
+  EXPECT_EQ(result->features[0].counts[0], 3);
+}
+
+TEST_F(IpsInstanceTest, MergeRacingWritersLosesNoAcknowledgedRecord) {
+  // Writers buffer records while a merger loops: a record acknowledged
+  // while the merge drains the write table must be merged now or kept for
+  // the next merge, never erased unmerged.
+  instance_.SetIsolationEnabled(true);
+  const TimestampMs now = clock_.NowMs();
+  constexpr int kWriters = 4;
+  constexpr int kAddsPerWriter = 5000;
+  constexpr ProfileId kPids = 8;
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int64_t> acknowledged{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int n = 0; n < kAddsPerWriter; ++n) {
+        const ProfileId pid = 1 + (w + n) % kPids;
+        if (instance_
+                .AddProfile("test", "profiles", pid, now - kMinute, 1, 1, 1,
+                            CountVector{1})
+                .ok()) {
+          acknowledged.fetch_add(1);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::thread merger([&] {
+    while (writers_left.load() > 0) instance_.MergeWriteTablesOnce();
+  });
+  for (auto& t : writers) t.join();
+  merger.join();
+  instance_.MergeWriteTablesOnce();
+
+  int64_t counted = 0;
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
+    auto result = TopK(pid, 1, 10);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->features.size(), 1u);
+    counted += result->features[0].counts[0];
+  }
+  EXPECT_EQ(acknowledged.load(), kWriters * kAddsPerWriter);
+  EXPECT_EQ(counted, acknowledged.load());
 }
 
 TEST(IpsInstanceBackgroundTest, MergerThreadRunsAutomatically) {
